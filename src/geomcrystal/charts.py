@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .ratfun import RatFun, var
+from .ratfun import RatFun, as_ratfun, var
 from .slgroup import MatRF, TorusElem, coroot, factored_unipotent
 
 
@@ -27,10 +27,6 @@ def crystal_parameter() -> RatFun:
 
 def index_pairs(n: int) -> list:
     return [(k, j) for k in range(1, n + 1) for j in range(k, n + 1)]
-
-
-def _as_ratfun(value) -> RatFun:
-    return value if isinstance(value, RatFun) else RatFun.const(value)
 
 
 def _sum(values) -> RatFun:
@@ -59,7 +55,7 @@ class _ChartPoint:
 
     def __init__(self, n: int, coords: Mapping):
         expected = set(index_pairs(n))
-        coords = {key: _as_ratfun(val) for key, val in coords.items()}
+        coords = {key: as_ratfun(val) for key, val in coords.items()}
         if set(coords) != expected:
             raise ValueError(
                 f"chart point of rank {n} needs exactly the index pairs {sorted(expected)}"
@@ -139,7 +135,7 @@ class TorusPointA(_ChartPoint):
     def act(self, i: int, alpha) -> "TorusPointA":
         """Closed-form crystal action: columns i-1, i, i+1 are rescaled
         by consecutive mixing ratios, everything else is fixed."""
-        alpha = _as_ratfun(alpha)
+        alpha = as_ratfun(alpha)
         cache: dict = {}
 
         def coeff(k: int) -> RatFun:
@@ -199,7 +195,7 @@ class TorusPointB(_ChartPoint):
     def act(self, i: int, alpha) -> "TorusPointB":
         """Closed-form crystal action: column i-1 is multiplied by the
         mixing ratios, column i is divided by them, all else fixed."""
-        alpha = _as_ratfun(alpha)
+        alpha = as_ratfun(alpha)
         cache: dict = {}
 
         def coeff(k: int) -> RatFun:

@@ -27,11 +27,7 @@ def _print(line: str):
 
 
 def cmd_verify(args) -> int:
-    try:
-        reports = verify.run_suite(args.suite, args.n, seed=args.seed, cap=args.cap)
-    except ValueError as exc:
-        _print(f"error: {exc}")
-        return 2
+    reports = verify.run_suite(args.suite, args.n, seed=args.seed, cap=args.cap)
     if args.json:
         _print(json.dumps([r.to_json() for r in reports], indent=2))
     else:
@@ -68,17 +64,18 @@ def cmd_act(args) -> int:
             _print("error: state file is not a sharp element (no 'B' field)")
             return 2
         v = gyt.SharpElement.from_json(data)
-        z = int(args.param)
+        try:
+            z = int(args.param)
+        except ValueError:
+            raise ValueError(f"--param must be a signed integer, got {args.param!r}") from None
         moved = gyt.crystal_power(args.i, z, v)
         _save_state(out_path, moved.to_json())
         _print(f"sharp element: direction {args.i}, power {z:+d} -> {out_path}")
         return 0
     cls = charts.TorusPointA if args.kind == "geom-a" else charts.TorusPointB
-    try:
-        point = cls.from_json(data)
-    except (KeyError, ValueError) as exc:
-        _print(f"error: {exc}")
-        return 2
+    point = cls.from_json(data)
+    if not 1 <= args.i <= point.n:
+        raise IndexError(f"direction {args.i} out of range 1..{point.n}")
     alpha = parse_ratfun(args.param)
     if alpha.is_zero:
         _print("error: the crystal parameter must be a nonzero rational")
@@ -175,18 +172,14 @@ def cmd_trop(args) -> int:
     except json.JSONDecodeError as exc:
         _print(f"error: --point must be a JSON object ({exc})")
         return 2
-    try:
-        if args.expr_file:
-            with open(args.expr_file, "r", encoding="utf-8") as handle:
-                f = parse_ratfun(handle.read().strip())
-            components = [("expr", f)]
-            order = None
-        else:
-            components, order = _named_formula(args)
-        tmap = ud.ud_map(components, vars=order)
-    except (ValueError, ud.NotPositive) as exc:
-        _print(f"error: {exc}")
-        return 2
+    if args.expr_file:
+        with open(args.expr_file, "r", encoding="utf-8") as handle:
+            f = parse_ratfun(handle.read().strip())
+        components = [("expr", f)]
+        order = None
+    else:
+        components, order = _named_formula(args)
+    tmap = ud.ud_map(components, vars=order)
     missing = [v for v in tmap.vars if v not in point]
     if missing:
         _print(f"error: point misses coordinates {missing}")
@@ -266,7 +259,13 @@ def main(argv=None) -> int:
     if args.command == "trop" and not args.formula and not args.expr_file:
         _print("error: trop needs --formula or --expr-file")
         return 2
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError, LookupError, ArithmeticError) as exc:
+        # bad input: unreadable files, malformed values, indices out of
+        # range, partial maps undefined at the given point
+        _print(f"error: {exc}")
+        return 2
 
 
 if __name__ == "__main__":

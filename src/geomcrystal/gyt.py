@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import json
 import random
+from itertools import accumulate
 from typing import Mapping, Sequence
-
-NEG_INF = float("-inf")  # only ever an empty-max placeholder, never a value
 
 
 class Annihilated(Exception):
@@ -194,18 +193,26 @@ def etilde_pow(i: int, beta: int, v: SharpElement) -> SharpElement:
 def etilde_pow_amounts(i: int, beta: int, v: SharpElement) -> tuple:
     """Row amounts (beta_1, ..., beta_i) applied by ``etilde_pow``."""
     _check_direction(i, v.n)
-    bs = bvals(i, v)
-    prefix = [NEG_INF]
-    for b in bs:
-        prefix.append(max(prefix[-1], b))
-    suffix = [NEG_INF] * (i + 2)
-    for k in range(i, 0, -1):
-        suffix[k] = max(suffix[k + 1], bs[k - 1])
+    return two_max_amounts(beta, bvals(i, v))
+
+
+def two_max_amounts(beta: int, bs: Sequence[int]) -> tuple:
+    """Per-position amounts of the two-max formula on data b_1..b_m:
+
+        c_k = max(beta + P_k, S_{k+1}) - max(beta + P_{k-1}, S_k)
+
+    with prefix maxima P_k = max(b_1..b_k) and suffix maxima
+    S_k = max(b_k..b_m).  The empty maxima P_0 and S_{m+1} drop out of
+    the outer max, so every quantity stays an integer.
+    """
+    m = len(bs)
+    prefix = list(accumulate(bs, max))
+    suffix = list(accumulate(reversed(bs), max))[::-1]
     out = []
-    for k in range(1, i + 1):
-        head = max(beta + prefix[k], suffix[k + 1])
-        tail = max(beta + prefix[k - 1], suffix[k])
-        out.append(int(head - tail))
+    for k in range(m):  # position k+1
+        head = beta + prefix[k] if k == m - 1 else max(beta + prefix[k], suffix[k + 1])
+        tail = suffix[k] if k == 0 else max(beta + prefix[k - 1], suffix[k])
+        out.append(head - tail)
     return tuple(out)
 
 
@@ -457,25 +464,9 @@ def tensor_e_pow(i: int, beta: int, word: Sequence[int]) -> tuple:
     word = tuple(int(w) for w in word)
     if beta == 0:
         return word
-    length = len(word)
-    bs = []
-    pairing_before = 0
-    for letter in word:
-        bs.append(_box_epsilon(i, letter) - pairing_before)
-        pairing_before += _box_pairing(i, letter)
-    prefix = [NEG_INF]
-    for b in bs:
-        prefix.append(max(prefix[-1], b))
-    suffix = [NEG_INF] * (length + 2)
-    for k in range(length, 0, -1):
-        suffix[k] = max(suffix[k + 1], bs[k - 1])
     out = []
     applied = 0
-    for k in range(1, length + 1):
-        head = max(beta + prefix[k], suffix[k + 1])
-        tail = max(beta + prefix[k - 1], suffix[k])
-        c_k = int(head - tail)
-        letter = word[k - 1]
+    for letter, c_k in zip(word, two_max_amounts(beta, _word_data(i, word))):
         if c_k == 0:
             out.append(letter)
         elif c_k == 1 and letter == i + 1:
@@ -492,12 +483,17 @@ def tensor_e_pow(i: int, beta: int, word: Sequence[int]) -> tuple:
     return tuple(out)
 
 
-def word_epsilon(i: int, word: Sequence[int]) -> int:
-    """Largest raising power applicable to a box word."""
+def _word_data(i: int, word: Sequence[int]) -> list:
+    """Running data b_k of a box word: epsilon of letter k minus the
+    pairings of the letters before it."""
     bs = []
     pairing_before = 0
     for letter in word:
         bs.append(_box_epsilon(i, letter) - pairing_before)
         pairing_before += _box_pairing(i, letter)
-    top = max(bs, default=0)
-    return top if top > 0 else 0
+    return bs
+
+
+def word_epsilon(i: int, word: Sequence[int]) -> int:
+    """Largest raising power applicable to a box word."""
+    return max([0, *_word_data(i, word)])

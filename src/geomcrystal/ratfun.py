@@ -1,14 +1,17 @@
 """Exact multivariate rational functions over the rationals.
 
-A value is a fraction of two multivariate polynomials kept in canonical
-expanded form (sorted variables, graded-lexicographic term order, exact
-rational coefficients, no zero terms).  Fractions are *not* reduced by
-polynomial GCD; equality is extensional, decided by cross multiplication
-of the expanded forms.  The only normalization applied is cheap
-bookkeeping: common monomial content is cancelled, unused variables are
-dropped, the denominator is scaled monic, and structurally identical
-factors cancel across a product or quotient.  This keeps the
-representation deterministic and printable bit-stably.
+A value is a fraction of two multivariate polynomials with integer
+coefficients, kept in canonical expanded form (sorted variables,
+graded-lexicographic term order, no zero terms).  Fractions are *not*
+reduced by polynomial GCD; equality is extensional, decided by cross
+multiplication of the expanded forms.  The only normalization applied is
+cheap bookkeeping: common monomial content is cancelled, unused variables
+are dropped, the joint integer content of numerator and denominator is
+divided out, the graded-lexicographically leading coefficient of the
+denominator is made positive, and structurally identical factors cancel
+across a product or quotient.  This keeps the representation
+deterministic and printable bit-stably; the printed form divides through
+by that leading coefficient, so it shows a monic denominator.
 
 Values built exclusively from variables, positive rational constants,
 ``+``, ``*`` and ``/`` carry a subtraction-free certificate: the
@@ -18,20 +21,20 @@ that numerator and denominator have all-positive coefficients (checked
 on construction).  Subtraction and negation drop the certificate.
 
 Monomials are packed into single integers, 16 bits per variable, so a
-monomial product is one integer addition.  No floating point is used
-anywhere in this module.
+monomial product is one integer addition.  Rationals (``Q``) appear only
+in evaluation results and certificate constants.  No floating point is
+used anywhere in this module: a float operand is rejected.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
+import operator
 import re
 from dataclasses import dataclass
+from fractions import Fraction as Q
 from typing import Iterator, Mapping, Sequence
-
-try:  # gmpy2 rationals are a drop-in, much faster Fraction
-    from gmpy2 import mpq as Q
-except ImportError:  # pragma: no cover
-    from fractions import Fraction as Q
 
 _WIDTH = 16
 _MASK = (1 << _WIDTH) - 1
@@ -39,6 +42,14 @@ _MASK = (1 << _WIDTH) - 1
 
 class PoleError(ArithmeticError):
     """Evaluation point lies on the zero set of the denominator."""
+
+
+def _rational(value) -> Q:
+    """``value`` as an exact rational; floats and other inexact numbers
+    are rejected rather than expanded into their binary value."""
+    if isinstance(value, numbers.Rational):
+        return Q(value)
+    raise TypeError(f"not an exact rational: {value!r}")
 
 
 def _decode(key: int, width: int) -> tuple:
@@ -150,7 +161,7 @@ class Poly:
     """Multivariate polynomial in canonical expanded form.
 
     ``vars`` is a sorted tuple of variable names; ``terms`` maps packed
-    exponent keys (16 bits per variable) to nonzero rational
+    exponent keys (16 bits per variable) to nonzero integer
     coefficients.  Instances are immutable by convention: no method
     mutates ``terms``.
     """
@@ -176,25 +187,19 @@ class Poly:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def const(cls, value, vars: tuple = ()) -> "Poly":
-        value = Q(value)
-        if value == 0:
-            return cls(vars, {})
-        return cls(vars, {0: value})
+    def const(cls, value: int, vars: tuple = ()) -> "Poly":
+        value = operator.index(value)
+        return cls(vars, {0: value} if value else {})
 
     @classmethod
     def variable(cls, name: str) -> "Poly":
-        return cls((name,), {1: Q(1)})
+        return cls((name,), {1: 1})
 
     # -- predicates ---------------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    @property
-    def is_one(self) -> bool:
-        return len(self.terms) == 1 and self.terms.get(0) == 1
 
     def all_positive(self) -> bool:
         return all(c > 0 for c in self.terms.values())
@@ -222,37 +227,16 @@ class Poly:
             _remap_terms(other.terms, other.vars, vars),
         )
 
-    def __add__(self, other: "Poly") -> "Poly":
+    def _combine(self, other: "Poly", negate: bool) -> "Poly":
         vars, a, b = self._aligned(other)
-        out = dict(a)
-        get = out.get
-        for key, c in b.items():
-            s = get(key)
-            if s is None:
-                out[key] = c
-            else:
-                s = s + c
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
-        return Poly(vars, out)
+        pairs = ((k, -c) for k, c in b.items()) if negate else b.items()
+        return Poly(vars, _add_into(dict(a), pairs))
+
+    def __add__(self, other: "Poly") -> "Poly":
+        return self._combine(other, negate=False)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        vars, a, b = self._aligned(other)
-        out = dict(a)
-        get = out.get
-        for key, c in b.items():
-            s = get(key)
-            if s is None:
-                out[key] = -c
-            else:
-                s = s - c
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
-        return Poly(vars, out)
+        return self._combine(other, negate=True)
 
     def __neg__(self) -> "Poly":
         return Poly(self.vars, {k: -c for k, c in self.terms.items()})
@@ -264,27 +248,8 @@ class Poly:
         if len(a) > len(b):  # iterate the smaller operand outermost
             a, b = b, a
         out: dict = {}
-        get = out.get
-        items = list(b.items())
-        for ka, ca in a.items():
-            for kb, cb in items:
-                k = ka + kb
-                s = get(k)
-                if s is None:
-                    out[k] = ca * cb
-                else:
-                    s = s + ca * cb
-                    if s:
-                        out[k] = s
-                    else:
-                        del out[k]
+        _mul_into(out, a, b, negate=False)
         return Poly(vars, out)
-
-    def scale(self, factor) -> "Poly":
-        factor = Q(factor)
-        if factor == 0:
-            return Poly(self.vars, {})
-        return Poly(self.vars, {k: c * factor for k, c in self.terms.items()})
 
     def __pow__(self, k: int) -> "Poly":
         if k < 0:
@@ -320,7 +285,7 @@ class Poly:
 
     def eval(self, point: Mapping[str, object]):
         total = Q(0)
-        vals = [Q(point[name]) if name in point else None for name in self.vars]
+        vals = [_rational(point[name]) if name in point else None for name in self.vars]
         for mono, c in self.monomials():
             term = c
             for idx, e in enumerate(mono):
@@ -346,13 +311,23 @@ class Poly:
         return a == b
 
     def __hash__(self):
-        return hash(tuple(sorted(self.terms.items())) + self.vars)
+        # equal polynomials share their used variables and, over those in
+        # sorted order, their packed terms
+        vars, terms, _ = _narrow_support(self.vars, self.terms, {})
+        canon = tuple(sorted(vars))
+        return hash((canon, frozenset(_remap_terms(terms, vars, canon).items())))
 
     def __str__(self) -> str:
+        return self.text()
+
+    def text(self, divisor: int = 1) -> str:
+        """Canonical text of this polynomial divided by ``divisor``."""
         if not self.terms:
             return "0"
         parts = []
         for mono, coeff in self.sorted_terms():
+            if divisor != 1:
+                coeff = Q(coeff, divisor)
             factors = [
                 name if e == 1 else f"{name}^{e}"
                 for name, e in zip(self.vars, mono)
@@ -383,8 +358,25 @@ def _grlex_key(mono: tuple):
     return (sum(mono), mono)
 
 
+def _add_into(out: dict, pairs) -> dict:
+    """Add (key, coefficient) pairs into ``out``, dropping cancelled keys."""
+    get = out.get
+    for k, c in pairs:
+        s = get(k)
+        if s is None:
+            out[k] = c
+        else:
+            s += c
+            if s:
+                out[k] = s
+            else:
+                del out[k]
+    return out
+
+
 def _mul_into(out: dict, a: dict, b: dict, negate: bool):
-    """Accumulate (+-) a*b into out, dropping cancelled keys."""
+    """Accumulate (+-) a*b into ``out`` over packed keys, dropping
+    cancelled keys.  The one polynomial multiplication loop."""
     get = out.get
     items = list(b.items())
     for ka, ca in a.items():
@@ -396,7 +388,7 @@ def _mul_into(out: dict, a: dict, b: dict, negate: bool):
             if s is None:
                 out[k] = ca * cb
             else:
-                s = s + ca * cb
+                s += ca * cb
                 if s:
                     out[k] = s
                 else:
@@ -428,13 +420,15 @@ class RatFun:
         vars, nt, dt = num._aligned(den)
         nt, dt = _strip_monomial_content(vars, nt, dt)
         vars, nt, dt = _narrow_support(vars, nt, dt)
-        lead = Poly(vars, dt).leading_coefficient()
-        if lead != 1:
-            inv = 1 / Q(lead)
-            nt = {m: c * inv for m, c in nt.items()}
-            dt = {m: c * inv for m, c in dt.items()}
+        den = Poly(vars, dt)
+        content = math.gcd(*nt.values(), *dt.values())
+        if den.leading_coefficient() < 0:
+            content = -content
+        if content != 1:
+            nt = {m: c // content for m, c in nt.items()}
+            den = Poly(vars, {m: c // content for m, c in dt.items()})
         self.num = Poly(vars, nt)
-        self.den = Poly(vars, dt)
+        self.den = den
         self.cert = cert
         if cert is not None and not (self.num.all_positive() and self.den.all_positive()):
             raise ValueError("positivity certificate on a value with negative coefficients")
@@ -443,9 +437,9 @@ class RatFun:
 
     @classmethod
     def const(cls, value) -> "RatFun":
-        value = Q(value)
+        value = _rational(value)
         cert = CConst(value) if value > 0 else None
-        return cls(Poly.const(value), Poly.const(1), cert)
+        return cls(Poly.const(value.numerator), Poly.const(value.denominator), cert)
 
     @classmethod
     def var(cls, name: str) -> "RatFun":
@@ -470,14 +464,8 @@ class RatFun:
 
     # -- arithmetic ---------------------------------------------------------
 
-    @staticmethod
-    def _coerce(value) -> "RatFun":
-        if isinstance(value, RatFun):
-            return value
-        return RatFun.const(value)
-
     def __add__(self, other) -> "RatFun":
-        other = self._coerce(other)
+        other = as_ratfun(other)
         cert = None
         if self.cert is not None and other.cert is not None:
             cert = _cadd(self.cert, other.cert)
@@ -492,19 +480,19 @@ class RatFun:
     __radd__ = __add__
 
     def __sub__(self, other) -> "RatFun":
-        other = self._coerce(other)
+        other = as_ratfun(other)
         if self.den == other.den:
             return RatFun(self.num - other.num, self.den)
         return RatFun(self.num * other.den - other.num * self.den, self.den * other.den)
 
     def __rsub__(self, other) -> "RatFun":
-        return self._coerce(other) - self
+        return as_ratfun(other) - self
 
     def __neg__(self) -> "RatFun":
         return RatFun(-self.num, self.den)
 
     def __mul__(self, other) -> "RatFun":
-        other = self._coerce(other)
+        other = as_ratfun(other)
         cert = None
         if self.cert is not None and other.cert is not None:
             cert = _cmul(self.cert, other.cert)
@@ -518,7 +506,7 @@ class RatFun:
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "RatFun":
-        other = self._coerce(other)
+        other = as_ratfun(other)
         if other.is_zero:
             raise ZeroDivisionError("division by the zero rational function")
         cert = None
@@ -532,7 +520,7 @@ class RatFun:
         return RatFun(self.num * other.den, self.den * other.num, cert)
 
     def __rtruediv__(self, other) -> "RatFun":
-        return self._coerce(other) / self
+        return as_ratfun(other) / self
 
     def __pow__(self, k: int) -> "RatFun":
         if k == 0:
@@ -600,10 +588,12 @@ class RatFun:
         if not isinstance(other, RatFun):
             try:
                 other = RatFun.const(other)
-            except (TypeError, ValueError):
+            except TypeError:
                 return NotImplemented
         if self.num == other.num and self.den == other.den:
             return True
+        if max(self.num._deg + other.den._deg, other.num._deg + self.den._deg) >= _MASK:
+            raise OverflowError("polynomial degree exceeds the packed-field capacity")
         # fused cross multiplication: num*other.den - other.num*den == 0
         vars = _merge_vars(self.num.vars, other.num.vars)
         an = _remap_terms(self.num.terms, self.num.vars, vars)
@@ -618,9 +608,11 @@ class RatFun:
     __hash__ = None  # extensional equality is incompatible with hashing
 
     def __str__(self) -> str:
-        if self.den.is_one:
-            return str(self.num)
-        return f"({self.num}) / ({self.den})"
+        # printed with a monic denominator: divide by its leading coefficient
+        lead = self.den.leading_coefficient()
+        if self.den.total_degree():
+            return f"({self.num.text(lead)}) / ({self.den.text(lead)})"
+        return self.num.text(lead)
 
     def __repr__(self) -> str:
         return f"RatFun({self})"
@@ -679,19 +671,9 @@ def _narrow_support(vars: tuple, nt: dict, dt: dict):
 
 def _laurent_collapse(poly: Poly, weights: Sequence[int]) -> dict:
     """Map each monomial to its weighted degree, collecting coefficients."""
-    out: dict = {}
-    for mono, c in poly.monomials():
-        e = sum(w * k for w, k in zip(weights, mono))
-        s = out.get(e)
-        if s is None:
-            out[e] = c
-        else:
-            s = s + c
-            if s:
-                out[e] = s
-            else:
-                del out[e]
-    return out
+    return _add_into(
+        {}, ((sum(w * k for w, k in zip(weights, mono)), c) for mono, c in poly.monomials())
+    )
 
 
 def _poly_cert_univariate(terms: dict):
@@ -817,7 +799,7 @@ class _Parser:
             inner = self.expr()
             self.expect_op(")")
             return inner
-        raise ValueError(f"unexpected token {val!r}")
+        raise ValueError(f"unexpected token {val!r}" if kind else "unexpected end of input")
 
 
 def parse(text: str) -> RatFun:
@@ -827,6 +809,12 @@ def parse(text: str) -> RatFun:
     if parser.pos != len(parser.tokens):
         raise ValueError(f"trailing input at token {parser.pos}")
     return value
+
+
+def as_ratfun(value) -> RatFun:
+    """``value`` itself if it is a :class:`RatFun`, else the constant it
+    names (an int or a rational; a float raises :class:`TypeError`)."""
+    return value if isinstance(value, RatFun) else RatFun.const(value)
 
 
 def var(name: str) -> RatFun:

@@ -22,7 +22,7 @@ import json
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .ratfun import RatFun, var
+from .ratfun import RatFun, as_ratfun, var
 
 
 class DecompositionOutsideDomain(ArithmeticError):
@@ -56,17 +56,13 @@ def cartan_matrix(n: int) -> list:
     return [[cartan_entry(i, j) for j in range(1, n + 1)] for i in range(1, n + 1)]
 
 
-def _as_ratfun(value) -> RatFun:
-    return value if isinstance(value, RatFun) else RatFun.const(value)
-
-
 class MatRF:
     """Square matrix with :class:`RatFun` entries, 0-indexed storage."""
 
     __slots__ = ("size", "rows")
 
     def __init__(self, rows: Sequence[Sequence]):
-        rows = [[_as_ratfun(e) for e in row] for row in rows]
+        rows = [[as_ratfun(e) for e in row] for row in rows]
         size = len(rows)
         if any(len(row) != size for row in rows):
             raise ValueError("matrix must be square")
@@ -194,7 +190,7 @@ class TorusElem:
     __slots__ = ("diag",)
 
     def __init__(self, diag: Sequence):
-        self.diag = tuple(_as_ratfun(d) for d in diag)
+        self.diag = tuple(as_ratfun(d) for d in diag)
 
     @classmethod
     def identity(cls, size: int) -> "TorusElem":
@@ -247,7 +243,7 @@ def x_elem(i: int, t, n: int) -> MatRF:
     """I + t*E_{i,i+1}: the upper elementary one-parameter element."""
     _check_index(i, n)
     mat = MatRF.identity(n + 1)
-    mat.rows[i - 1][i] = _as_ratfun(t)
+    mat.rows[i - 1][i] = as_ratfun(t)
     return mat
 
 
@@ -255,14 +251,14 @@ def y_elem(i: int, t, n: int) -> MatRF:
     """I + t*E_{i+1,i}: the lower elementary one-parameter element."""
     _check_index(i, n)
     mat = MatRF.identity(n + 1)
-    mat.rows[i][i - 1] = _as_ratfun(t)
+    mat.rows[i][i - 1] = as_ratfun(t)
     return mat
 
 
 def coroot(i: int, c, n: int) -> TorusElem:
     """diag(1, ..., c, c^-1, ..., 1) with c in slot i (1-indexed)."""
     _check_index(i, n)
-    c = _as_ratfun(c)
+    c = as_ratfun(c)
     if c.is_zero:
         raise ZeroDivisionError("coroot parameter must be nonzero")
     diag = [RatFun.const(1)] * (n + 1)
@@ -402,7 +398,7 @@ def crystal_act(i: int, c, u: MatRF) -> MatRF:
     """
     n = u.rank
     _check_index(i, n)
-    c = _as_ratfun(c)
+    c = as_ratfun(c)
     p = phi(i, u)
     if p.is_zero:
         raise PhiVanishes(f"phi_{i} vanishes identically on this element")
@@ -416,7 +412,7 @@ def crystal_act_gauss(i: int, c, u: MatRF) -> MatRF:
     factor of the Gauss decomposition of x_i((c-1)/phi(u)) * u."""
     n = u.rank
     _check_index(i, n)
-    c = _as_ratfun(c)
+    c = as_ratfun(c)
     p = phi(i, u)
     if p.is_zero:
         raise PhiVanishes(f"phi_{i} vanishes identically on this element")

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from geomcrystal.cli import main
 from geomcrystal.gyt import SharpElement
 
@@ -84,6 +86,29 @@ class TestAct:
         state.write_text(json.dumps({"n": 1, "chart": "A", "coords": {"1,1": "6"}}))
         code, out = run(capsys, "act", "geom-A", str(state), "--i", "1", "--param", "0")
         assert code == 2
+
+
+    @pytest.mark.parametrize(
+        "state, argv",
+        [
+            ("sharp", ["act", "sharp", "{state}", "--i", "1", "--param", "x"]),
+            ("sharp", ["act", "sharp", "{state}", "--i", "3", "--param", "1"]),
+            (None, ["act", "sharp", "{state}", "--i", "1", "--param", "1"]),
+            ("chart", ["act", "geom-A", "{state}", "--i", "1", "--param", "3+"]),
+        ],
+        ids=["non-integer-power", "direction-out-of-range", "missing-state-file", "malformed-param"],
+    )
+    def test_bad_input_is_an_error(self, tmp_path, capsys, state, argv):
+        path = tmp_path / "state.json"
+        if state == "sharp":
+            path.write_text(json.dumps({"n": 2, "B": {"1,2": 2, "1,3": 1, "2,3": 3}}))
+        elif state == "chart":
+            path.write_text(json.dumps({"n": 1, "chart": "A", "coords": {"1,1": "6"}}))
+        before = path.read_text() if path.exists() else None
+        code, out = run(capsys, *(arg.format(state=path) for arg in argv))
+        assert code == 2
+        assert out.startswith("error: ")
+        assert (path.read_text() if path.exists() else None) == before
 
 
 class TestGraph:

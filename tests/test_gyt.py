@@ -22,6 +22,7 @@ from geomcrystal.gyt import (
     stilde,
     tableau_rowcounts,
     tensor_e_pow,
+    two_max_amounts,
     weight,
     weight_pairing,
     word_epsilon,
@@ -305,3 +306,34 @@ class TestJson:
     def test_tableau_round_trip(self):
         t = Tableau([[1, 1, 2], [2, 3]])
         assert Tableau.from_json(t.to_json()) == t
+
+
+class TestTwoMax:
+    @staticmethod
+    def _direct(beta, bs):
+        """The two-max formula with every maximum taken over its slice;
+        an empty slice leaves its term out of the outer max."""
+        def outer(k_prefix, k_suffix):
+            parts = []
+            if bs[:k_prefix]:
+                parts.append(beta + max(bs[:k_prefix]))
+            if bs[k_suffix - 1:]:
+                parts.append(max(bs[k_suffix - 1:]))
+            return max(parts)
+
+        return tuple(outer(k, k + 1) - outer(k - 1, k) for k in range(1, len(bs) + 1))
+
+    def test_matches_direct_formula(self):
+        rng = random.Random(5)
+        for _ in range(300):
+            bs = [rng.randint(-6, 6) for _ in range(rng.randint(1, 6))]
+            beta = rng.randint(0, 5)
+            amounts = two_max_amounts(beta, bs)
+            assert amounts == self._direct(beta, bs)
+            assert all(type(a) is int for a in amounts)
+            assert sum(amounts) == beta
+
+    def test_empty_word(self):
+        assert word_epsilon(1, ()) == 0
+        with pytest.raises(Annihilated):
+            tensor_e_pow(1, 1, ())

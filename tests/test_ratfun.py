@@ -1,8 +1,12 @@
+import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from geomcrystal.ratfun import ONE, PoleError, Q, RatFun, const, parse, var
+from geomcrystal.ratfun import ONE, PoleError, Poly, Q, RatFun, _encode, const, parse, var
 
 x, y, z = var("x"), var("y"), var("z")
 
@@ -232,3 +236,143 @@ class TestSerialization:
         f = x + y**2 + x * y + 1
         g = const(1) + x * y + y**2 + x
         assert str(f) == str(g)
+
+
+# ---------------------------------------------------------------------------
+# properties of the integer core
+NAMES = ("x", "y", "z")
+PROPERTY = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+_leaves = st.one_of(
+    st.sampled_from(NAMES).map(var),
+    st.integers(-4, 4).map(const),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4).map(const),
+)
+
+
+def _combine(op_args):
+    op, a, b = op_args
+    try:
+        return op(a, b)
+    except ZeroDivisionError:
+        return a
+
+
+_OPS = (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b, lambda a, b: a / b)
+ratfuns = st.recursive(
+    _leaves,
+    lambda kids: st.tuples(st.sampled_from(_OPS), kids, kids).map(_combine),
+    max_leaves=6,
+)
+
+
+def to_sympy(f: RatFun):
+    sympy = pytest.importorskip("sympy")
+
+    def poly(p):
+        syms = [sympy.Symbol(v) for v in p.vars]
+        return sum(
+            (c * sympy.Mul(*(s**e for s, e in zip(syms, mono))) for mono, c in p.monomials()),
+            sympy.Integer(0),
+        )
+
+    return poly(f.num) / poly(f.den)
+
+
+class TestIntegerCore:
+    @PROPERTY
+    @given(ratfuns, ratfuns)
+    def test_field_operations_match_sympy(self, f, g):
+        sympy = pytest.importorskip("sympy")
+        sf, sg = to_sympy(f), to_sympy(g)
+        assert sympy.cancel(to_sympy(f + g) - (sf + sg)) == 0
+        assert sympy.cancel(to_sympy(f - g) - (sf - sg)) == 0
+        assert sympy.cancel(to_sympy(f * g) - sf * sg) == 0
+        if not g.is_zero:
+            assert sympy.cancel(to_sympy(f / g) - sf / sg) == 0
+
+    @PROPERTY
+    @given(ratfuns, ratfuns, ratfuns)
+    def test_field_laws(self, f, g, h):
+        assert (f + g) * h == f * h + g * h
+        assert (f * g) * h == f * (g * h)
+        assert f - f == 0
+        if not f.is_zero:
+            assert f / f == 1
+
+    @PROPERTY
+    @given(ratfuns)
+    def test_parse_round_trip_bit_exact(self, f):
+        g = parse(str(f))
+        assert (g.num.vars, g.num.terms, g.den.terms) == (f.num.vars, f.num.terms, f.den.terms)
+        assert str(g) == str(f)
+
+    @PROPERTY
+    @given(ratfuns)
+    def test_stored_coefficients_are_primitive_ints(self, f):
+        coeffs = [*f.num.terms.values(), *f.den.terms.values()]
+        assert all(type(c) is int for c in coeffs)
+        assert math.gcd(*coeffs) == 1
+        assert f.den.leading_coefficient() > 0
+
+    def test_const_is_integer_fraction(self):
+        f = const(Q(-6, 4))
+        assert (f.num.terms, f.den.terms) == ({0: -3}, {0: 2})
+        assert str(f) == "-(3/2)"
+
+    def test_float_rejected(self):
+        with pytest.raises(TypeError):
+            RatFun.const(0.1)
+        with pytest.raises(TypeError):
+            x + 0.5
+        with pytest.raises(TypeError):
+            (x / y).eval({"x": 1, "y": 0.5})
+
+    def test_float_never_equal(self):
+        assert (const(1) == 1.0) is False
+        assert (x != 0.1) is True
+
+    def test_equality_detects_exponent_overflow(self):
+        # x^65536 would wrap into the packed field of y
+        with pytest.raises(OverflowError):
+            x**40000 == y / x**25536
+
+    def test_poly_integer_constructors(self):
+        assert Poly.const(3).terms == {0: 3}
+        assert type(Poly.variable("x").terms[1]) is int
+        with pytest.raises(TypeError):
+            Poly.const(Fraction(1, 2))
+
+
+_terms = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)), st.integers(-3, 3), max_size=4
+)
+
+
+def _poly(vars: tuple, terms: dict, order: tuple) -> Poly:
+    """The polynomial with terms over ``vars`` (exponents in that order),
+    stored over the variable tuple ``order`` (a permutation of a superset)."""
+    packed = {}
+    for exps, c in terms.items():
+        aligned = [exps[vars.index(v)] if v in vars else 0 for v in order]
+        packed[_encode(aligned)] = c
+    return Poly(order, packed)
+
+
+class TestPolyHash:
+    @PROPERTY
+    @given(_terms, st.permutations(("x", "y", "z")), _terms, st.permutations(("x", "y")))
+    def test_equal_implies_equal_hash(self, terms, order, other_terms, other_order):
+        base = ("x", "y")
+        p = _poly(base, terms, base)
+        q = _poly(base, terms, tuple(order))  # same polynomial, other variable tuple
+        assert p == q
+        assert hash(p) == hash(q)
+        r = _poly(base, other_terms, tuple(other_order))
+        if p == r:
+            assert hash(p) == hash(r)
+
+    def test_unused_variable(self):
+        wide, narrow = Poly(("x", "y"), {1: 1}), Poly(("x",), {1: 1})
+        assert wide == narrow
+        assert hash(wide) == hash(narrow)
