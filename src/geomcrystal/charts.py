@@ -14,10 +14,11 @@ is a fresh symbol named ``z`` when not supplied numerically.
 
 from __future__ import annotations
 
-from typing import Mapping
+from functools import cache
+from typing import Mapping, Sequence
 
 from .ratfun import RatFun, as_ratfun, var
-from .slgroup import MatRF, TorusElem, coroot, factored_unipotent
+from .slgroup import MatRF, TorusElem, coroot, factored_unipotent, symbolic_lower_coords
 
 
 def crystal_parameter() -> RatFun:
@@ -27,6 +28,12 @@ def crystal_parameter() -> RatFun:
 
 def index_pairs(n: int) -> list:
     return [(k, j) for k in range(1, n + 1) for j in range(k, n + 1)]
+
+
+def coordinate_names(n: int, chart: str) -> tuple:
+    """Variable names of the symbolic point of chart ``"a"`` or ``"A"``,
+    in index-pair order."""
+    return tuple(x.variables[0] for x in symbolic_lower_coords(n, chart).values())
 
 
 def _sum(values) -> RatFun:
@@ -46,8 +53,26 @@ def _prod(values) -> RatFun:
     return total
 
 
+def _mixed_sum(column: Sequence, k: int, alpha) -> RatFun:
+    """alpha times the sum of the first k entries plus the sum of the
+    rest; an empty part drops out."""
+    head, tail = column[:k], column[k:]
+    if not head:
+        return _sum(tail)
+    total = _sum(head) * alpha
+    return total + _sum(tail) if tail else total
+
+
+def _column_ratio(coords: Mapping, k: int, j: int) -> RatFun:
+    """prod_{l<=k} A_{l,j} / prod_{l<=k-1} A_{l,j-1}: a factor-chart
+    coordinate in ratio coordinates."""
+    num = _prod(coords[(l, j)] for l in range(1, k + 1))
+    den = _prod(coords[(l, j - 1)] for l in range(1, k))
+    return num / den
+
+
 class _ChartPoint:
-    """Shared storage/serialization for both charts."""
+    """Shared storage, serialization and action skeleton for both charts."""
 
     chart: str = ""
 
@@ -65,10 +90,19 @@ class _ChartPoint:
 
     @classmethod
     def symbolic(cls, n: int):
-        prefix = "a" if cls.chart == "a" else "A"
-        return cls(
-            n, {(k, j): var(f"{prefix}[{k},{j}]") for (k, j) in index_pairs(n)}
-        )
+        return cls(n, symbolic_lower_coords(n, cls.chart))
+
+    def _moved(self, i: int, rules: Mapping) -> "_ChartPoint":
+        """The point of the crystal action in direction i: each column j
+        named in ``rules`` is rewritten entrywise by ``rules[j](k, value)``,
+        every other column is kept."""
+        if not 1 <= i <= self.n:
+            raise IndexError(f"direction {i} out of range 1..{self.n}")
+        out = {}
+        for (k, j), value in self.coords.items():
+            rule = rules.get(j)
+            out[(k, j)] = value if rule is None else rule(k, value)
+        return type(self)(self.n, out)
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
@@ -116,11 +150,8 @@ def factor_act_coefficient(i: int, k: int, coords: Mapping, alpha) -> RatFun:
     """
     if k == 0:
         return RatFun.const(1)
-    head = _sum(coords[(l, i)] for l in range(1, k + 1)) * alpha
-    tail = [coords[(l, i)] for l in range(k + 1, i + 1)]
-    num = head + _sum(tail) if tail else head
-    den = _sum(coords[(l, i)] for l in range(1, i + 1))
-    return num / den
+    column = [coords[(l, i)] for l in range(1, i + 1)]
+    return _mixed_sum(column, k, alpha) / _mixed_sum(column, 0, alpha)
 
 
 class TorusPointA(_ChartPoint):
@@ -136,24 +167,12 @@ class TorusPointA(_ChartPoint):
         """Closed-form crystal action: columns i-1, i, i+1 are rescaled
         by consecutive mixing ratios, everything else is fixed."""
         alpha = as_ratfun(alpha)
-        cache: dict = {}
-
-        def coeff(k: int) -> RatFun:
-            if k not in cache:
-                cache[k] = factor_act_coefficient(i, k, self.coords, alpha)
-            return cache[k]
-
-        out = {}
-        for (k, j), value in self.coords.items():
-            if j == i - 1:
-                out[(k, j)] = coeff(k) * value
-            elif j == i:
-                out[(k, j)] = value / (coeff(k - 1) * coeff(k))
-            elif j == i + 1:
-                out[(k, j)] = coeff(k - 1) * value
-            else:
-                out[(k, j)] = value
-        return TorusPointA(self.n, out)
+        coeff = cache(lambda k: factor_act_coefficient(i, k, self.coords, alpha))
+        return self._moved(i, {
+            i - 1: lambda k, value: coeff(k) * value,
+            i: lambda k, value: value / (coeff(k - 1) * coeff(k)),
+            i + 1: lambda k, value: coeff(k - 1) * value,
+        })
 
     def to_ratio(self) -> "TorusPointB":
         """Coordinate change onto the ratio chart: each new coordinate is
@@ -166,24 +185,12 @@ class TorusPointA(_ChartPoint):
         return TorusPointB(self.n, out)
 
 
-def ratio_ladder(i: int, j: int, coords: Mapping) -> RatFun:
-    """Column product prod_{l<=j} A_{l,i} / prod_{l<=j-1} A_{l,i-1}."""
-    num = _prod(coords[(l, i)] for l in range(1, j + 1))
-    den = _prod(coords[(l, i - 1)] for l in range(1, j))
-    return num / den
-
-
 def ratio_act_coefficient(i: int, k: int, coords: Mapping, alpha) -> RatFun:
     """Mixing ratio of the ratio-chart action for 1 <= k <= i: a ratio of
-    two alpha-weighted sums of the column ladder products.  Empty inner
-    sums drop out."""
-    ladders = [ratio_ladder(i, j, coords) for j in range(1, i + 1)]
-    num_head = _sum(ladders[:k]) * alpha
-    num_tail = ladders[k:]
-    num = num_head + _sum(num_tail) if num_tail else num_head
-    den_tail = _sum(ladders[k - 1 :])
-    den = _sum(ladders[: k - 1]) * alpha + den_tail if k > 1 else den_tail
-    return num / den
+    two alpha-weighted sums of the column ladder products, which are the
+    factor-chart coordinates of column i."""
+    ladders = [_column_ratio(coords, j, i) for j in range(1, i + 1)]
+    return _mixed_sum(ladders, k, alpha) / _mixed_sum(ladders, k - 1, alpha)
 
 
 class TorusPointB(_ChartPoint):
@@ -196,32 +203,18 @@ class TorusPointB(_ChartPoint):
         """Closed-form crystal action: column i-1 is multiplied by the
         mixing ratios, column i is divided by them, all else fixed."""
         alpha = as_ratfun(alpha)
-        cache: dict = {}
-
-        def coeff(k: int) -> RatFun:
-            if k not in cache:
-                cache[k] = ratio_act_coefficient(i, k, self.coords, alpha)
-            return cache[k]
-
-        out = {}
-        for (k, j), value in self.coords.items():
-            if j == i - 1:
-                out[(k, j)] = coeff(k) * value
-            elif j == i:
-                out[(k, j)] = value / coeff(k)
-            else:
-                out[(k, j)] = value
-        return TorusPointB(self.n, out)
+        coeff = cache(lambda k: ratio_act_coefficient(i, k, self.coords, alpha))
+        return self._moved(i, {
+            i - 1: lambda k, value: coeff(k) * value,
+            i: lambda k, value: value / coeff(k),
+        })
 
     def to_factor(self) -> TorusPointA:
         """Inverse coordinate change: column products over the previous
         column's products."""
-        out = {}
-        for (k, j) in index_pairs(self.n):
-            num = _prod(self.coords[(l, j)] for l in range(1, k + 1))
-            den = _prod(self.coords[(l, j - 1)] for l in range(1, k))
-            out[(k, j)] = num / den
-        return TorusPointA(self.n, out)
+        return TorusPointA(
+            self.n, {key: _column_ratio(self.coords, *key) for key in index_pairs(self.n)}
+        )
 
     def weight_component(self, i: int) -> RatFun:
         """Reciprocal of the hook product prod_{k<=i, j>=i} A_{k,j}."""

@@ -74,12 +74,10 @@ def cmd_act(args) -> int:
         return 0
     cls = charts.TorusPointA if args.kind == "geom-a" else charts.TorusPointB
     point = cls.from_json(data)
-    if not 1 <= args.i <= point.n:
-        raise IndexError(f"direction {args.i} out of range 1..{point.n}")
     alpha = parse_ratfun(args.param)
-    if alpha.is_zero:
-        _print("error: the crystal parameter must be a nonzero rational")
-        return 2
+    if alpha.variables or not alpha.eval({}) > 0:
+        # the action keeps the positive chart only for positive parameters
+        raise ValueError(f"{args.kind} needs a positive rational --param, got {args.param!r}")
     try:
         moved = point.act(args.i, alpha)
     except ZeroDivisionError as exc:
@@ -138,30 +136,23 @@ def cmd_graph(args) -> int:
 
 def _named_formula(args):
     n = args.n
+    ratio_names = charts.coordinate_names(n, "A")
     if args.formula == "alpha_ik":
         if args.i is None or args.k is None:
             raise ValueError("alpha_ik needs --i and --k")
         q = charts.TorusPointB.symbolic(n)
         f = charts.ratio_act_coefficient(args.i, args.k, q.coords, charts.crystal_parameter())
-        order = tuple(f"A[{k},{j}]" for (k, j) in charts.index_pairs(n)) + ("z",)
-        return [(f"alpha({args.i},{args.k})", f)], order
+        return [(f"alpha({args.i},{args.k})", f)], ratio_names + ("z",)
     if args.formula == "gammaA":
         q = charts.TorusPointB.symbolic(n)
-        order = tuple(f"A[{k},{j}]" for (k, j) in charts.index_pairs(n))
-        return (
-            [(f"w{i}", q.weight_component(i)) for i in range(1, n + 1)],
-            order,
-        )
+        return [(f"w{i}", q.weight_component(i)) for i in range(1, n + 1)], ratio_names
     if args.formula in ("xi", "xi_inv"):
-        if args.formula == "xi":
-            point = charts.TorusPointA.symbolic(n).to_ratio()
-            order = tuple(f"a[{k},{j}]" for (k, j) in charts.index_pairs(n))
-        else:
-            point = charts.TorusPointB.symbolic(n).to_factor()
-            order = tuple(f"A[{k},{j}]" for (k, j) in charts.index_pairs(n))
+        source = charts.TorusPointA if args.formula == "xi" else charts.TorusPointB
+        point = source.symbolic(n)
+        image = point.to_ratio() if args.formula == "xi" else point.to_factor()
         return (
-            [(f"{k},{j}", point.coords[(k, j)]) for (k, j) in charts.index_pairs(n)],
-            order,
+            [(f"{k},{j}", image.coords[(k, j)]) for (k, j) in charts.index_pairs(n)],
+            charts.coordinate_names(n, source.chart),
         )
     raise ValueError(f"unknown formula {args.formula!r}")
 
@@ -220,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_act.add_argument(
         "--param",
         required=True,
-        help="signed integer power for sharp, nonzero rational for geom kinds",
+        help="signed integer power for sharp, positive rational for geom kinds",
     )
     p_act.add_argument("--out", default=None, help="output file (default: in place)")
     p_act.set_defaults(func=cmd_act)

@@ -24,7 +24,7 @@ class Annihilated(Exception):
     """A raising power would leave the finite box-word crystal."""
 
 
-def index_pairs(n: int) -> list:
+def sharp_pairs(n: int) -> list:
     """All stored index pairs (k, j), 1 <= k < j <= n+1, lexicographic."""
     return [(k, j) for k in range(1, n + 1) for j in range(k + 1, n + 2)]
 
@@ -35,7 +35,7 @@ class SharpElement:
     __slots__ = ("n", "entries")
 
     def __init__(self, n: int, entries: Mapping):
-        expected = index_pairs(n)
+        expected = sharp_pairs(n)
         entries = {key: int(val) for key, val in entries.items()}
         unknown = set(entries) - set(expected)
         if unknown:
@@ -49,7 +49,7 @@ class SharpElement:
 
     @classmethod
     def random(cls, n: int, rng: random.Random, lo: int = -10, hi: int = 10) -> "SharpElement":
-        return cls(n, {key: rng.randint(lo, hi) for key in index_pairs(n)})
+        return cls(n, {key: rng.randint(lo, hi) for key in sharp_pairs(n)})
 
     def b(self, k: int, j: int) -> int:
         return self.entries[(k, j)]
@@ -60,7 +60,7 @@ class SharpElement:
         return SharpElement(self.n, merged)
 
     def key(self) -> tuple:
-        return tuple(self.entries[p] for p in index_pairs(self.n))
+        return tuple(self.entries[p] for p in sharp_pairs(self.n))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SharpElement):
@@ -73,7 +73,7 @@ class SharpElement:
     def to_json(self) -> dict:
         return {
             "n": self.n,
-            "B": {f"{k},{j}": self.entries[(k, j)] for (k, j) in index_pairs(self.n)},
+            "B": {f"{k},{j}": self.entries[(k, j)] for (k, j) in sharp_pairs(self.n)},
         }
 
     @classmethod
@@ -172,6 +172,16 @@ def ftilde(i: int, v: SharpElement) -> SharpElement:
     return _shift(v, last, i, -1)
 
 
+def _signed_power(i: int, z: int, v: SharpElement) -> SharpElement:
+    """Closed form of the signed power e^z (lowering for z < 0): row k
+    shifts by the k-th amount of the two-max formula at z."""
+    out = v
+    for k, amount in enumerate(two_max_amounts(z, bvals(i, v)), start=1):
+        if amount:
+            out = _shift(out, k, i, amount)
+    return out
+
+
 def etilde_pow(i: int, beta: int, v: SharpElement) -> SharpElement:
     """Closed form of the beta-fold raising operator, beta >= 0.
 
@@ -180,19 +190,11 @@ def etilde_pow(i: int, beta: int, v: SharpElement) -> SharpElement:
     """
     if beta < 0:
         raise ValueError("negative power; iterate the lowering operator instead")
-    if beta == 0:
-        return v
-    amounts = etilde_pow_amounts(i, beta, v)
-    out = v
-    for k in range(1, i + 1):
-        if amounts[k - 1]:
-            out = _shift(out, k, i, amounts[k - 1])
-    return out
+    return _signed_power(i, beta, v)
 
 
 def etilde_pow_amounts(i: int, beta: int, v: SharpElement) -> tuple:
     """Row amounts (beta_1, ..., beta_i) applied by ``etilde_pow``."""
-    _check_direction(i, v.n)
     return two_max_amounts(beta, bvals(i, v))
 
 
@@ -217,31 +219,16 @@ def two_max_amounts(beta: int, bs: Sequence[int]) -> tuple:
 
 
 def ftilde_pow(i: int, count: int, v: SharpElement) -> SharpElement:
-    """count-fold lowering operator (iterated; count >= 0)."""
+    """count-fold lowering operator (count >= 0): the two-max formula at
+    the negative power -count."""
     if count < 0:
         raise ValueError("negative count; use etilde_pow instead")
-    _check_direction(i, v.n)
-    bs = list(bvals(i, v))
-    hits = [0] * (i + 1)
-    for _ in range(count):
-        top = max(bs)
-        last = len(bs) - bs[::-1].index(top)
-        hits[last] += 1
-        bs[last - 1] += 1
-        for k in range(last, i):
-            bs[k] += 2
-    out = v
-    for k in range(1, i + 1):
-        if hits[k]:
-            out = _shift(out, k, i, -hits[k])
-    return out
+    return _signed_power(i, -count, v)
 
 
 def crystal_power(i: int, z: int, v: SharpElement) -> SharpElement:
     """Signed power: raising for z >= 0, lowering for z < 0."""
-    if z >= 0:
-        return etilde_pow(i, z, v)
-    return ftilde_pow(i, -z, v)
+    return _signed_power(i, z, v)
 
 
 def stilde(i: int, v: SharpElement) -> SharpElement:

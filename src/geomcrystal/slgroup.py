@@ -456,25 +456,34 @@ def _matrix_report(name: str, lhs: MatRF, rhs: MatRF) -> IdentityReport:
     return IdentityReport(name, False, f"entry ({i + 1},{j + 1}): {a} != {b}")
 
 
+def relation_kind(i: int, j: int) -> str:
+    """Kind of the rank-2 relation between the actions in directions i
+    and j: in type A only "commute" (distant indices) and "braid"
+    (adjacent indices) occur."""
+    return "commute" if cartan_entry(i, j) == 0 else "braid"
+
+
+def rank2_relation(i: int, j: int, act, x) -> tuple:
+    """(lhs, rhs) of the rank-2 relation between directions i and j at
+    x, for an action ``act(i, c, x)`` with symbolic parameters c1, c2:
+    e_i^c1 e_j^c2 = e_j^c2 e_i^c1 when commuting, and
+    e_i^c1 e_j^(c1 c2) e_i^c2 = e_j^c2 e_i^(c1 c2) e_j^c1 when braided."""
+    c1, c2 = var("c1"), var("c2")
+    if relation_kind(i, j) == "commute":
+        return act(i, c1, act(j, c2, x)), act(j, c2, act(i, c1, x))
+    lhs = act(i, c1, act(j, c1 * c2, act(i, c2, x)))
+    rhs = act(j, c2, act(i, c1 * c2, act(j, c1, x)))
+    return lhs, rhs
+
+
 def check_braid_relation(i: int, j: int, n: int) -> IdentityReport:
     """Verify the rank-2 relation between the actions in directions i
     and j on the generic factored unipotent element, with symbolic
-    parameters.  In type A only the commuting case (distant indices) and
-    the braid case (adjacent indices) occur."""
+    parameters."""
     if i == j or not (1 <= i <= n and 1 <= j <= n):
         raise IndexError("need two distinct directions in range")
-    u = generic_unipotent(n)
-    c1, c2 = var("c1"), var("c2")
-    pairing = cartan_entry(i, j)
-    if pairing == 0:
-        name = f"commute(e_{i}, e_{j}) at n={n}"
-        lhs = crystal_act(i, c1, crystal_act(j, c2, u))
-        rhs = crystal_act(j, c2, crystal_act(i, c1, u))
-    else:
-        name = f"braid(e_{i}, e_{j}) at n={n}"
-        lhs = crystal_act(i, c1, crystal_act(j, c1 * c2, crystal_act(i, c2, u)))
-        rhs = crystal_act(j, c2, crystal_act(i, c1 * c2, crystal_act(j, c1, u)))
-    return _matrix_report(name, lhs, rhs)
+    lhs, rhs = rank2_relation(i, j, crystal_act, generic_unipotent(n))
+    return _matrix_report(f"{relation_kind(i, j)}(e_{i}, e_{j}) at n={n}", lhs, rhs)
 
 
 def check_borel_embed_equivariant(i: int, n: int) -> IdentityReport:

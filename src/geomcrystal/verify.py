@@ -103,18 +103,11 @@ def _generic_ratio_point(n: int) -> charts.TorusPointB:
 
 
 def _ratio_relation(i: int, j: int, n: int):
-    c1, c2 = var("c1"), var("c2")
-    q = _generic_ratio_point(n)
-    if slgroup.cartan_entry(i, j) == 0:
-        name = f"ratio-chart commute(e_{i}, e_{j}) at n={n}"
-        lhs = q.act(j, c2).act(i, c1)
-        rhs = q.act(i, c1).act(j, c2)
-    else:
-        name = f"ratio-chart braid(e_{i}, e_{j}) at n={n}"
-        lhs = q.act(i, c2).act(j, c1 * c2).act(i, c1)
-        rhs = q.act(j, c1).act(i, c1 * c2).act(j, c2)
+    name = f"ratio-chart {slgroup.relation_kind(i, j)}(e_{i}, e_{j}) at n={n}"
 
     def thunk():
+        q = _generic_ratio_point(n)
+        lhs, rhs = slgroup.rank2_relation(i, j, lambda d, c, x: x.act(d, c), q)
         for key in charts.index_pairs(n):
             if not lhs.coords[key] == rhs.coords[key]:
                 return False, {"coordinate": f"{key}"}
@@ -260,115 +253,88 @@ def positivity_reports(n: int, seed: int = DEFAULT_SEED, points: int = 100) -> l
 # free-crystal axioms, powers, Weyl action, tableau oracle
 
 
+def _sampled(n: int, rng: random.Random, cases: int, fails, top: int):
+    """(holds, witness) of a property over ``cases`` seeded draws of an
+    element v and a direction i in 1..top, vacuous when top < 1.
+    ``fails(v, i)`` returns None, or the counterexample fields beyond the
+    element and i."""
+    for _ in range(cases if top >= 1 else 0):
+        v = gyt.SharpElement.random(n, rng)
+        i = rng.randint(1, top)
+        extra = fails(v, i)
+        if extra is not None:
+            return False, {"element": v.to_json(), "i": i, **extra}
+    return True, None
+
+
 def sharp_reports(n: int, seed: int = DEFAULT_SEED, cases: int = 1000) -> list:
     rng = random.Random(seed)
 
-    def payload(v, i):
-        return {"element": v.to_json(), "i": i}
+    def axioms(v, i):
+        up, down = gyt.etilde(i, v), gyt.ftilde(i, v)
+        w_v = gyt.weight(v)
+        unit = tuple(int(t == i - 1) for t in range(n))
+        bad = (
+            gyt.phi(i, v) != gyt.epsilon(i, v) + gyt.weight_pairing(i, v)
+            or gyt.weight(up) != tuple(w + d for w, d in zip(w_v, unit))
+            or gyt.weight(down) != tuple(w - d for w, d in zip(w_v, unit))
+            or gyt.ftilde(i, up) != v
+            or gyt.etilde(i, down) != v
+        )
+        return {} if bad else None
 
-    def axioms():
-        for _ in range(cases):
-            v = gyt.SharpElement.random(n, rng)
-            i = rng.randint(1, n)
-            if gyt.phi(i, v) != gyt.epsilon(i, v) + gyt.weight_pairing(i, v):
-                return False, payload(v, i)
-            up = gyt.etilde(i, v)
-            w_v, w_up = gyt.weight(v), gyt.weight(up)
-            if any(
-                w_up[t] != w_v[t] + (1 if t == i - 1 else 0) for t in range(n)
-            ):
-                return False, payload(v, i)
-            down = gyt.ftilde(i, v)
-            w_down = gyt.weight(down)
-            if any(
-                w_down[t] != w_v[t] - (1 if t == i - 1 else 0) for t in range(n)
-            ):
-                return False, payload(v, i)
-            if gyt.ftilde(i, up) != v or gyt.etilde(i, down) != v:
-                return False, payload(v, i)
-        return True, None
+    def shifts(v, i):
+        up = gyt.etilde(i, v)
+        bad = gyt.epsilon(i, up) != gyt.epsilon(i, v) - 1 or gyt.phi(i, up) != gyt.phi(i, v) + 1
+        return {} if bad else None
 
-    def shifts():
-        for _ in range(cases):
-            v = gyt.SharpElement.random(n, rng)
-            i = rng.randint(1, n)
-            up = gyt.etilde(i, v)
-            if gyt.epsilon(i, up) != gyt.epsilon(i, v) - 1:
-                return False, payload(v, i)
-            if gyt.phi(i, up) != gyt.phi(i, v) + 1:
-                return False, payload(v, i)
-        return True, None
+    def freeness(v, i):
+        bad = gyt.etilde(i, gyt.ftilde(i, v)) != v or gyt.ftilde(i, gyt.etilde(i, v)) != v
+        return {} if bad else None
 
-    def freeness():
-        for _ in range(cases):
-            v = gyt.SharpElement.random(n, rng)
-            i = rng.randint(1, n)
-            if gyt.etilde(i, gyt.ftilde(i, v)) != v:
-                return False, payload(v, i)
-            if gyt.ftilde(i, gyt.etilde(i, v)) != v:
-                return False, payload(v, i)
-        return True, None
-
-    def powers():
-        for _ in range(cases // 2):
-            v = gyt.SharpElement.random(n, rng)
-            i = rng.randint(1, n)
-            beta = rng.randint(0, 6)
-            step = v
-            for _ in range(beta):
-                step = gyt.etilde(i, step)
-            if gyt.etilde_pow(i, beta, v) != step:
-                return False, payload(v, i)
-            if sum(gyt.etilde_pow_amounts(i, beta, v)) != beta:
-                return False, payload(v, i)
-        return True, None
+    def powers(v, i):
+        beta = rng.randint(0, 6)
+        step = v
+        for _ in range(beta):
+            step = gyt.etilde(i, step)
+        bad = gyt.etilde_pow(i, beta, v) != step or sum(gyt.etilde_pow_amounts(i, beta, v)) != beta
+        return {} if bad else None
 
     return [
-        _timed(f"sharp crystal axioms ({cases} random) at n={n}", n, axioms),
-        _timed(f"sharp epsilon/phi shifts ({cases} random) at n={n}", n, shifts),
-        _timed(f"sharp freeness ({cases} random) at n={n}", n, freeness),
-        _timed(f"sharp power formula ({cases // 2} random) at n={n}", n, powers),
+        _timed(f"sharp crystal axioms ({cases} random) at n={n}", n,
+               lambda: _sampled(n, rng, cases, axioms, n)),
+        _timed(f"sharp epsilon/phi shifts ({cases} random) at n={n}", n,
+               lambda: _sampled(n, rng, cases, shifts, n)),
+        _timed(f"sharp freeness ({cases} random) at n={n}", n,
+               lambda: _sampled(n, rng, cases, freeness, n)),
+        _timed(f"sharp power formula ({cases // 2} random) at n={n}", n,
+               lambda: _sampled(n, rng, cases // 2, powers, n)),
     ]
 
 
 def weyl_reports(n: int, seed: int = DEFAULT_SEED, cases: int = 1000) -> list:
     rng = random.Random(seed)
 
-    def involution():
-        for _ in range(cases):
-            v = gyt.SharpElement.random(n, rng)
-            i = rng.randint(1, n)
-            if gyt.stilde(i, gyt.stilde(i, v)) != v:
-                return False, {"element": v.to_json(), "i": i}
-        return True, None
+    def involution(v, i):
+        return {} if gyt.stilde(i, gyt.stilde(i, v)) != v else None
 
-    def braid():
-        if n < 2:
-            return True, None
-        for _ in range(cases):
-            v = gyt.SharpElement.random(n, rng)
-            i = rng.randint(1, n - 1)
-            lhs = gyt.stilde(i, gyt.stilde(i + 1, gyt.stilde(i, v)))
-            rhs = gyt.stilde(i + 1, gyt.stilde(i, gyt.stilde(i + 1, v)))
-            if lhs != rhs:
-                return False, {"element": v.to_json(), "i": i}
-        return True, None
+    def braid(v, i):
+        lhs = gyt.stilde(i, gyt.stilde(i + 1, gyt.stilde(i, v)))
+        rhs = gyt.stilde(i + 1, gyt.stilde(i, gyt.stilde(i + 1, v)))
+        return {} if lhs != rhs else None
 
-    def commute():
-        if n < 3:
-            return True, None
-        for _ in range(cases):
-            v = gyt.SharpElement.random(n, rng)
-            i = rng.randint(1, n - 2)
-            j = rng.randint(i + 2, n)
-            if gyt.stilde(i, gyt.stilde(j, v)) != gyt.stilde(j, gyt.stilde(i, v)):
-                return False, {"element": v.to_json(), "i": i, "j": j}
-        return True, None
+    def commute(v, i):
+        j = rng.randint(i + 2, n)
+        bad = gyt.stilde(i, gyt.stilde(j, v)) != gyt.stilde(j, gyt.stilde(i, v))
+        return {"j": j} if bad else None
 
     return [
-        _timed(f"weyl involution ({cases} random) at n={n}", n, involution),
-        _timed(f"weyl braid ({cases} random) at n={n}", n, braid),
-        _timed(f"weyl commutation ({cases} random) at n={n}", n, commute),
+        _timed(f"weyl involution ({cases} random) at n={n}", n,
+               lambda: _sampled(n, rng, cases, involution, n)),
+        _timed(f"weyl braid ({cases} random) at n={n}", n,
+               lambda: _sampled(n, rng, cases, braid, n - 1)),
+        _timed(f"weyl commutation ({cases} random) at n={n}", n,
+               lambda: _sampled(n, rng, cases, commute, n - 2)),
     ]
 
 
@@ -413,7 +379,7 @@ def udmain_reports(n: int, seed: int = DEFAULT_SEED) -> list:
     al = charts.crystal_parameter()
     q = charts.TorusPointB.symbolic(n)
     pairs = charts.index_pairs(n)
-    avars = tuple(f"A[{k},{j}]" for (k, j) in pairs)
+    avars = charts.coordinate_names(n, "A")
     order = avars + ("z",)
     coeffs = {
         (i, k): charts.ratio_act_coefficient(i, k, q.coords, al)

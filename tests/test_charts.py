@@ -22,6 +22,14 @@ def test_index_pairs_count():
         assert len(index_pairs(n)) == n * (n + 1) // 2
 
 
+@pytest.mark.parametrize("cls", [TorusPointA, TorusPointB])
+def test_act_direction_out_of_range(cls):
+    p = cls.symbolic(2)
+    for i in (0, 3, 5):
+        with pytest.raises(IndexError):
+            p.act(i, const(3))
+
+
 class TestFactorChart:
     def test_matrix_rank_one(self):
         p = TorusPointA.symbolic(1)

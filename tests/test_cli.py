@@ -95,8 +95,14 @@ class TestAct:
             ("sharp", ["act", "sharp", "{state}", "--i", "3", "--param", "1"]),
             (None, ["act", "sharp", "{state}", "--i", "1", "--param", "1"]),
             ("chart", ["act", "geom-A", "{state}", "--i", "1", "--param", "3+"]),
+            ("chart", ["act", "geom-A", "{state}", "--i", "5", "--param", "3"]),
+            ("chart", ["act", "geom-A", "{state}", "--i", "1", "--param", "-1"]),
+            ("chart", ["act", "geom-A", "{state}", "--i", "1", "--param", "x"]),
         ],
-        ids=["non-integer-power", "direction-out-of-range", "missing-state-file", "malformed-param"],
+        ids=[
+            "non-integer-power", "direction-out-of-range", "missing-state-file", "malformed-param",
+            "chart-direction-out-of-range", "negative-param", "symbolic-param",
+        ],
     )
     def test_bad_input_is_an_error(self, tmp_path, capsys, state, argv):
         path = tmp_path / "state.json"

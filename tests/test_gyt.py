@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geomcrystal.gyt import (
     Annihilated,
@@ -16,7 +18,7 @@ from geomcrystal.gyt import (
     extremes,
     ftilde,
     ftilde_pow,
-    index_pairs,
+    sharp_pairs as index_pairs,
     phi,
     rowcounts_from_word,
     stilde,
@@ -145,6 +147,22 @@ class TestPowers:
     def test_crystal_power_signs(self):
         assert crystal_power(2, 2, V) == etilde_pow(2, 2, V)
         assert crystal_power(2, -3, V) == ftilde_pow(2, 3, V)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_crystal_power_is_iterated_operator(self, data):
+        # one closed form serves both signs, up to the large negative
+        # powers that stilde asks for
+        n = data.draw(st.integers(1, 6))
+        size = len(index_pairs(n))
+        v = sharp(n, *data.draw(st.lists(st.integers(-30, 30), min_size=size, max_size=size)))
+        i = data.draw(st.integers(1, n))
+        z = data.draw(st.integers(-60, 60))
+        step = etilde if z >= 0 else ftilde
+        expected = v
+        for _ in range(abs(z)):
+            expected = step(i, expected)
+        assert crystal_power(i, z, v) == expected
 
 
 class TestWeyl:

@@ -12,7 +12,7 @@ from geomcrystal.charts import (
     ratio_act_coefficient,
 )
 from geomcrystal.gyt import SharpElement
-from geomcrystal.gyt import index_pairs as sharp_index_pairs
+from geomcrystal.gyt import sharp_pairs as sharp_index_pairs
 from geomcrystal.ratfun import const, parse, var
 from geomcrystal.ud import (
     BOTTOM,
