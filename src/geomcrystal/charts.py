@@ -14,7 +14,6 @@ is a fresh symbol named ``z`` when not supplied numerically.
 
 from __future__ import annotations
 
-from functools import cache
 from typing import Mapping, Sequence
 
 from .ratfun import RatFun, as_ratfun, var
@@ -92,12 +91,15 @@ class _ChartPoint:
     def symbolic(cls, n: int):
         return cls(n, symbolic_lower_coords(n, cls.chart))
 
-    def _moved(self, i: int, rules: Mapping) -> "_ChartPoint":
-        """The point of the crystal action in direction i: each column j
-        named in ``rules`` is rewritten entrywise by ``rules[j](k, value)``,
-        every other column is kept."""
+    def _direction(self, i: int) -> int:
         if not 1 <= i <= self.n:
             raise IndexError(f"direction {i} out of range 1..{self.n}")
+        return i
+
+    def _moved(self, rules: Mapping) -> "_ChartPoint":
+        """The point of a crystal action: each column j named in
+        ``rules`` is rewritten entrywise by ``rules[j](k, value)``, every
+        other column is kept."""
         out = {}
         for (k, j), value in self.coords.items():
             rule = rules.get(j)
@@ -134,7 +136,9 @@ class _ChartPoint:
         coords = {}
         for key, text in data["coords"].items():
             k, j = (int(part) for part in key.split(","))
-            coords[(k, j)] = parse(text)
+            value = coords[(k, j)] = parse(text)
+            if not value.positive_cert:
+                raise ValueError(f"chart coordinate {key} = {text!r} is not a positive expression")
         return cls(data["n"], coords)
 
     def __repr__(self) -> str:
@@ -144,14 +148,17 @@ class _ChartPoint:
         return f"{type(self).__name__}({body})"
 
 
-def factor_act_coefficient(i: int, k: int, coords: Mapping, alpha) -> RatFun:
-    """Column-i mixing ratio of the factor-chart action, defined for
-    0 <= k <= i; the boundary values are 1 at k = 0 and alpha at k = i.
-    """
-    if k == 0:
-        return RatFun.const(1)
+def factor_act_coefficients(i: int, coords: Mapping, alpha) -> list:
+    """The column-i mixing ratios mix(k)/mix(0) of the factor-chart
+    action at index k, 0 <= k <= i; they are 1 at k = 0 and alpha at
+    k = i."""
     column = [coords[(l, i)] for l in range(1, i + 1)]
-    return _mixed_sum(column, k, alpha) / _mixed_sum(column, 0, alpha)
+    mix = [_mixed_sum(column, k, alpha) for k in range(i + 1)]
+    return [RatFun.const(1)] + [m / mix[0] for m in mix[1:]]
+
+
+def factor_act_coefficient(i: int, k: int, coords: Mapping, alpha) -> RatFun:
+    return factor_act_coefficients(i, coords, alpha)[k]
 
 
 class TorusPointA(_ChartPoint):
@@ -166,12 +173,11 @@ class TorusPointA(_ChartPoint):
     def act(self, i: int, alpha) -> "TorusPointA":
         """Closed-form crystal action: columns i-1, i, i+1 are rescaled
         by consecutive mixing ratios, everything else is fixed."""
-        alpha = as_ratfun(alpha)
-        coeff = cache(lambda k: factor_act_coefficient(i, k, self.coords, alpha))
-        return self._moved(i, {
-            i - 1: lambda k, value: coeff(k) * value,
-            i: lambda k, value: value / (coeff(k - 1) * coeff(k)),
-            i + 1: lambda k, value: coeff(k - 1) * value,
+        coeff = factor_act_coefficients(self._direction(i), self.coords, as_ratfun(alpha))
+        return self._moved({
+            i - 1: lambda k, value: coeff[k] * value,
+            i: lambda k, value: value / (coeff[k - 1] * coeff[k]),
+            i + 1: lambda k, value: coeff[k - 1] * value,
         })
 
     def to_ratio(self) -> "TorusPointB":
@@ -185,12 +191,19 @@ class TorusPointA(_ChartPoint):
         return TorusPointB(self.n, out)
 
 
-def ratio_act_coefficient(i: int, k: int, coords: Mapping, alpha) -> RatFun:
-    """Mixing ratio of the ratio-chart action for 1 <= k <= i: a ratio of
-    two alpha-weighted sums of the column ladder products, which are the
-    factor-chart coordinates of column i."""
+def ratio_act_coefficients(i: int, coords: Mapping, alpha) -> list:
+    """The mixing ratios mix(k)/mix(k-1) of the ratio-chart action at
+    index k - 1, 1 <= k <= i: alpha-weighted sums of the column ladder
+    products, which are the factor-chart coordinates of column i."""
     ladders = [_column_ratio(coords, j, i) for j in range(1, i + 1)]
-    return _mixed_sum(ladders, k, alpha) / _mixed_sum(ladders, k - 1, alpha)
+    mix = [_mixed_sum(ladders, k, alpha) for k in range(i + 1)]
+    return [mix[k] / mix[k - 1] for k in range(1, i + 1)]
+
+
+def ratio_act_coefficient(i: int, k: int, coords: Mapping, alpha) -> RatFun:
+    if not 1 <= k <= i:
+        raise IndexError(f"mixing ratio index {k} out of range 1..{i}")
+    return ratio_act_coefficients(i, coords, alpha)[k - 1]
 
 
 class TorusPointB(_ChartPoint):
@@ -202,11 +215,10 @@ class TorusPointB(_ChartPoint):
     def act(self, i: int, alpha) -> "TorusPointB":
         """Closed-form crystal action: column i-1 is multiplied by the
         mixing ratios, column i is divided by them, all else fixed."""
-        alpha = as_ratfun(alpha)
-        coeff = cache(lambda k: ratio_act_coefficient(i, k, self.coords, alpha))
-        return self._moved(i, {
-            i - 1: lambda k, value: coeff(k) * value,
-            i: lambda k, value: value / coeff(k),
+        coeff = ratio_act_coefficients(self._direction(i), self.coords, as_ratfun(alpha))
+        return self._moved({
+            i - 1: lambda k, value: coeff[k - 1] * value,
+            i: lambda k, value: value / coeff[k - 1],
         })
 
     def to_factor(self) -> TorusPointA:

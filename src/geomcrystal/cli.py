@@ -252,9 +252,9 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except (OSError, ValueError, LookupError, ArithmeticError) as exc:
-        # bad input: unreadable files, malformed values, indices out of
-        # range, partial maps undefined at the given point
+    except (OSError, ValueError, TypeError, LookupError, ArithmeticError) as exc:
+        # bad input: unreadable files, malformed or inexact values, indices
+        # out of range, partial maps undefined at the given point
         _print(f"error: {exc}")
         return 2
 

@@ -15,6 +15,7 @@ at the last.
 from __future__ import annotations
 
 import json
+import operator
 import random
 from itertools import accumulate
 from typing import Mapping, Sequence
@@ -36,7 +37,7 @@ class SharpElement:
 
     def __init__(self, n: int, entries: Mapping):
         expected = sharp_pairs(n)
-        entries = {key: int(val) for key, val in entries.items()}
+        entries = {key: operator.index(val) for key, val in entries.items()}
         unknown = set(entries) - set(expected)
         if unknown:
             raise ValueError(f"entries outside the index set: {sorted(unknown)}")

@@ -20,9 +20,15 @@ tropicalization machinery rewrites structurally, and it also guarantees
 that numerator and denominator have all-positive coefficients (checked
 on construction).  Subtraction and negation drop the certificate.
 
-Monomials are packed into single integers, 16 bits per variable, so a
-monomial product is one integer addition.  Rationals (``Q``) appear only
-in evaluation results and certificate constants.  No floating point is
+Monomials are packed into single integers of 16-bit fields: the total
+degree in the top field, then the exponents from the first variable of
+the tuple down to the last in the lowest field.  A monomial product is
+one integer addition, and integer order on keys is graded-lexicographic
+order, so degree, leading term and term order are read off the keys
+without decoding.  Every product checks that its total degree stays
+below 2**16 - 1, and so does every packed key: an exponent never
+overflows into the next field.  Rationals (``Q``) appear only in
+evaluation results and certificate constants.  No floating point is
 used anywhere in this module: a float operand is rejected.
 """
 
@@ -53,15 +59,18 @@ def _rational(value) -> Q:
 
 
 def _decode(key: int, width: int) -> tuple:
-    return tuple((key >> (_WIDTH * i)) & _MASK for i in range(width))
+    return tuple((key >> shift) & _MASK for shift in range(_WIDTH * (width - 1), -1, -_WIDTH))
 
 
 def _encode(exps) -> int:
-    key = 0
-    shift = 0
+    """Pack nonnegative exponents: the total degree on top, then one
+    field per variable from the first down."""
+    exps = tuple(exps)
+    key = sum(exps)
+    if key >= _MASK:
+        raise OverflowError("polynomial degree exceeds the packed-field capacity")
     for e in exps:
-        key |= int(e) << shift
-        shift += _WIDTH
+        key = key << _WIDTH | e
     return key
 
 
@@ -144,24 +153,41 @@ def _merge_vars(u: tuple, v: tuple) -> tuple:
 
 
 def _remap_terms(terms: dict, old: tuple, new: tuple) -> dict:
+    """Repack keys over ``old`` as keys over ``new``.  ``new`` may add
+    variables (alignment) or drop variables whose exponents are all zero
+    (narrowing); the degree field moves to the new top."""
     if old == new:
         return terms
-    shifts = [_WIDTH * new.index(x) for x in old]
-    width = len(old)
+    top_old, top_new = _WIDTH * len(old), _WIDTH * len(new)
+    moves = [
+        (top_old - _WIDTH * (i + 1), top_new - _WIDTH * (new.index(x) + 1))
+        for i, x in enumerate(old)
+        if x in new
+    ]
     out: dict = {}
     for key, c in terms.items():
-        nk = 0
-        for i in range(width):
-            nk |= ((key >> (_WIDTH * i)) & _MASK) << shifts[i]
+        nk = key >> top_old << top_new
+        for src, dst in moves:
+            nk |= ((key >> src) & _MASK) << dst
         out[nk] = c
     return out
+
+
+def _support(vars: tuple, *term_dicts) -> tuple:
+    """The variables of ``vars`` with a nonzero exponent in some term."""
+    used = 0
+    for terms in term_dicts:
+        for key in terms:
+            used |= key
+    top = _WIDTH * len(vars)
+    return tuple(x for i, x in enumerate(vars) if (used >> (top - _WIDTH * (i + 1))) & _MASK)
 
 
 class Poly:
     """Multivariate polynomial in canonical expanded form.
 
     ``vars`` is a sorted tuple of variable names; ``terms`` maps packed
-    exponent keys (16 bits per variable) to nonzero integer
+    exponent keys (see the module docstring) to nonzero integer
     coefficients.  Instances are immutable by convention: no method
     mutates ``terms``.
     """
@@ -170,19 +196,8 @@ class Poly:
 
     def __init__(self, vars: tuple, terms: dict):
         self.vars = tuple(vars)
-        width = len(self.vars)
-        clean = {k: c for k, c in terms.items() if c != 0}
-        self.terms = clean
-        deg = -1
-        for key in clean:
-            total = 0
-            k = key
-            for _ in range(width):
-                total += k & _MASK
-                k >>= _WIDTH
-            if total > deg:
-                deg = total
-        self._deg = deg
+        self.terms = {k: c for k, c in terms.items() if c != 0}
+        self._deg = max(self.terms) >> (_WIDTH * len(self.vars)) if self.terms else -1
 
     # -- constructors -------------------------------------------------------
 
@@ -193,7 +208,7 @@ class Poly:
 
     @classmethod
     def variable(cls, name: str) -> "Poly":
-        return cls((name,), {1: 1})
+        return cls((name,), {_encode((1,)): 1})
 
     # -- predicates ---------------------------------------------------------
 
@@ -205,17 +220,7 @@ class Poly:
         return all(c > 0 for c in self.terms.values())
 
     def used_vars(self) -> set:
-        width = len(self.vars)
-        used = 0
-        for key in self.terms:
-            used |= key
-            if used == -1:
-                break
-        out = set()
-        for i in range(width):
-            if (used >> (_WIDTH * i)) & _MASK:
-                out.add(self.vars[i])
-        return out
+        return set(_support(self.vars, self.terms))
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -279,9 +284,7 @@ class Poly:
         """Coefficient of the graded-lexicographically largest term."""
         if not self.terms:
             raise ValueError("leading coefficient of the zero polynomial")
-        width = len(self.vars)
-        best_key = max(self.terms, key=lambda k: _grlex_key(_decode(k, width)))
-        return self.terms[best_key]
+        return self.terms[max(self.terms)]
 
     def eval(self, point: Mapping[str, object]):
         total = Q(0)
@@ -298,9 +301,11 @@ class Poly:
         return total
 
     def sorted_terms(self) -> Iterator:
-        pairs = [( _decode(k, len(self.vars)), c) for k, c in self.terms.items()]
-        pairs.sort(key=lambda item: _grlex_key(item[0]), reverse=True)
-        return iter(pairs)
+        """(exponents, coefficient) pairs, graded-lexicographically largest
+        first."""
+        width = len(self.vars)
+        for key in sorted(self.terms, reverse=True):
+            yield _decode(key, width), self.terms[key]
 
     # -- comparison / output --------------------------------------------------
 
@@ -313,9 +318,8 @@ class Poly:
     def __hash__(self):
         # equal polynomials share their used variables and, over those in
         # sorted order, their packed terms
-        vars, terms, _ = _narrow_support(self.vars, self.terms, {})
-        canon = tuple(sorted(vars))
-        return hash((canon, frozenset(_remap_terms(terms, vars, canon).items())))
+        canon = tuple(sorted(_support(self.vars, self.terms)))
+        return hash((canon, frozenset(_remap_terms(self.terms, self.vars, canon).items())))
 
     def __str__(self) -> str:
         return self.text()
@@ -352,10 +356,6 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({self})"
-
-
-def _grlex_key(mono: tuple):
-    return (sum(mono), mono)
 
 
 def _add_into(out: dict, pairs) -> dict:
@@ -419,16 +419,17 @@ class RatFun:
             return
         vars, nt, dt = num._aligned(den)
         nt, dt = _strip_monomial_content(vars, nt, dt)
-        vars, nt, dt = _narrow_support(vars, nt, dt)
-        den = Poly(vars, dt)
+        # drop the variables no term uses: the support is the canonical tuple
+        used = _support(vars, nt, dt)
+        vars, nt, dt = used, _remap_terms(nt, vars, used), _remap_terms(dt, vars, used)
         content = math.gcd(*nt.values(), *dt.values())
-        if den.leading_coefficient() < 0:
+        if dt[max(dt)] < 0:  # the grlex-leading denominator coefficient
             content = -content
         if content != 1:
             nt = {m: c // content for m, c in nt.items()}
-            den = Poly(vars, {m: c // content for m, c in dt.items()})
+            dt = {m: c // content for m, c in dt.items()}
         self.num = Poly(vars, nt)
-        self.den = den
+        self.den = Poly(vars, dt)
         self.cert = cert
         if cert is not None and not (self.num.all_positive() and self.den.all_positive()):
             raise ValueError("positivity certificate on a value with negative coefficients")
@@ -563,15 +564,15 @@ class RatFun:
             raise ZeroDivisionError("monomial substitution annihilates the denominator")
         if not num_l:
             return RatFun(Poly(("c",), {}), Poly.const(1, ("c",)))
-        if max(max(num_l), max(den_l)) - min(min(num_l), min(den_l)) >= _MASK:
-            raise OverflowError("substituted degree exceeds the packed-field capacity")
         low = min(min(num_l), min(den_l), 0)
         num_t = {e - low: c for e, c in num_l.items()}
         den_t = {e - low: c for e, c in den_l.items()}
         cert = None
         if self.cert is not None:
             cert = CDiv(_poly_cert_univariate(num_t), _poly_cert_univariate(den_t))
-        return RatFun(Poly(("c",), num_t), Poly(("c",), den_t), cert)
+        num = Poly(("c",), {_encode((e,)): c for e, c in num_t.items()})
+        den = Poly(("c",), {_encode((e,)): c for e, c in den_t.items()})
+        return RatFun(num, den, cert)
 
     def degree(self) -> int:
         """deg(num) - deg(den) for a univariate (or constant) value."""
@@ -623,14 +624,15 @@ def _strip_monomial_content(vars: tuple, nt: dict, dt: dict):
     if not vars:
         return nt, dt
     width = len(vars)
+    shifts = range(_WIDTH * (width - 1), -1, -_WIDTH)
     low = None
     for terms in (nt, dt):
         for key in terms:
             if low is None:
                 low = list(_decode(key, width))
                 continue
-            for i in range(width):
-                e = (key >> (_WIDTH * i)) & _MASK
+            for i, shift in enumerate(shifts):
+                e = (key >> shift) & _MASK
                 if e < low[i]:
                     low[i] = e
     if low is None or not any(low):
@@ -639,34 +641,6 @@ def _strip_monomial_content(vars: tuple, nt: dict, dt: dict):
     nt = {k - shift: c for k, c in nt.items()}
     dt = {k - shift: c for k, c in dt.items()}
     return nt, dt
-
-
-def _narrow_support(vars: tuple, nt: dict, dt: dict):
-    """Drop variables that appear in no term, so the variable tuple is
-    canonical for the value's support."""
-    if not vars:
-        return vars, nt, dt
-    width = len(vars)
-    used_mask = 0
-    for terms in (nt, dt):
-        for key in terms:
-            used_mask |= key
-    used = [bool((used_mask >> (_WIDTH * i)) & _MASK) for i in range(width)]
-    if all(used):
-        return vars, nt, dt
-    keep = [i for i in range(width) if used[i]]
-    new_vars = tuple(vars[i] for i in keep)
-    shifts = [(_WIDTH * old, _WIDTH * new) for new, old in enumerate(keep)]
-
-    def repack(key: int) -> int:
-        nk = 0
-        for old_shift, new_shift in shifts:
-            nk |= ((key >> old_shift) & _MASK) << new_shift
-        return nk
-
-    nt = {repack(k): c for k, c in nt.items()}
-    dt = {repack(k): c for k, c in dt.items()}
-    return new_vars, nt, dt
 
 
 def _laurent_collapse(poly: Poly, weights: Sequence[int]) -> dict:

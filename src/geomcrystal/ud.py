@@ -15,6 +15,7 @@ evaluate to Bottom at the root.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -143,9 +144,9 @@ class TropExpr:
         """Evaluate at an integer vector (aligned with :attr:`vars`) or a
         mapping {name: int}; returns an int or BOTTOM."""
         if isinstance(point, Mapping):
-            values = [int(point[name]) for name in self.vars]
+            values = [operator.index(point[name]) for name in self.vars]
         else:
-            values = [int(x) for x in point]
+            values = [operator.index(x) for x in point]
             if len(values) != len(self.vars):
                 raise ValueError(
                     f"point has {len(values)} coordinates, expression has {len(self.vars)}"
@@ -323,7 +324,7 @@ def chart_to_sharp(n: int, values: Mapping) -> SharpElement:
     for (k, j), val in values.items():
         if not 1 <= k <= j <= n:
             raise ValueError(f"chart index {(k, j)} out of range")
-        entries[(k, j + 1)] = int(val)
+        entries[(k, j + 1)] = val
     return SharpElement(n, entries)
 
 

@@ -382,9 +382,9 @@ def udmain_reports(n: int, seed: int = DEFAULT_SEED) -> list:
     avars = charts.coordinate_names(n, "A")
     order = avars + ("z",)
     coeffs = {
-        (i, k): charts.ratio_act_coefficient(i, k, q.coords, al)
+        (i, k): f
         for i in range(1, n + 1)
-        for k in range(1, i + 1)
+        for k, f in enumerate(charts.ratio_act_coefficients(i, q.coords, al), start=1)
     }
     exprs = {key: ud.tropicalize(f, order) for key, f in coeffs.items()}
     weights = {i: q.weight_component(i) for i in range(1, n + 1)}

@@ -181,3 +181,9 @@ class TestJson:
     def test_bad_index_set(self):
         with pytest.raises(ValueError):
             TorusPointA(2, {(1, 1): const(1)})
+
+    @pytest.mark.parametrize("text", ["-6", "0", "x - 1"])
+    def test_non_positive_coordinate_rejected(self, text):
+        data = {"n": 2, "chart": "A", "coords": {"1,1": "6", "1,2": text, "2,2": "y"}}
+        with pytest.raises(ValueError, match="1,2"):
+            TorusPointB.from_json(data)

@@ -98,10 +98,17 @@ class TestAct:
             ("chart", ["act", "geom-A", "{state}", "--i", "5", "--param", "3"]),
             ("chart", ["act", "geom-A", "{state}", "--i", "1", "--param", "-1"]),
             ("chart", ["act", "geom-A", "{state}", "--i", "1", "--param", "x"]),
+            ("negative-chart", ["act", "geom-A", "{state}", "--i", "1", "--param", "3"]),
+            ("float-sharp", ["act", "sharp", "{state}", "--i", "1", "--param", "1"]),
+            (None, ["trop", "--formula", "gammaA", "--n", "1", "--point", '{{"A[1,1]": 2.7}}']),
+            (None, ["trop", "--formula", "alpha_ik", "--n", "2", "--i", "2", "--k", "0",
+                    "--point", '{{"A[1,1]": 1, "A[1,2]": 2, "A[2,2]": 0, "z": 1}}']),
         ],
         ids=[
             "non-integer-power", "direction-out-of-range", "missing-state-file", "malformed-param",
             "chart-direction-out-of-range", "negative-param", "symbolic-param",
+            "negative-chart-coordinate", "float-sharp-entry", "float-trop-point",
+            "mixing-ratio-index-out-of-range",
         ],
     )
     def test_bad_input_is_an_error(self, tmp_path, capsys, state, argv):
@@ -110,6 +117,10 @@ class TestAct:
             path.write_text(json.dumps({"n": 2, "B": {"1,2": 2, "1,3": 1, "2,3": 3}}))
         elif state == "chart":
             path.write_text(json.dumps({"n": 1, "chart": "A", "coords": {"1,1": "6"}}))
+        elif state == "negative-chart":
+            path.write_text(json.dumps({"n": 1, "chart": "A", "coords": {"1,1": "-6"}}))
+        elif state == "float-sharp":
+            path.write_text(json.dumps({"n": 2, "B": {"1,2": 1.5, "1,3": 1, "2,3": 3}}))
         before = path.read_text() if path.exists() else None
         code, out = run(capsys, *(arg.format(state=path) for arg in argv))
         assert code == 2

@@ -55,6 +55,10 @@ class TestData:
     def test_weight(self):
         assert weight(V) == (-3, -4)
 
+    def test_float_entry_rejected(self):
+        with pytest.raises(TypeError):
+            SharpElement(2, {(1, 2): 1.5})
+
     def test_zero_element(self):
         z = SharpElement.zero(2)
         assert epsilon(1, z) == 0

@@ -1,0 +1,154 @@
+"""Pinned printed forms.
+
+Each section renders a fixed family of values (``str`` and the
+certificate ``repr`` of every component) and compares the sha256 of the
+rendering with a pinned digest.  A change to the internal representation
+(the packed monomial keys, the term order, normalization) must leave
+every printed form and certificate unchanged; a failure names the
+section that differs.  To see what changed, print ``SECTIONS[name]()``
+on both versions and diff the output.
+"""
+
+import hashlib
+import random
+
+import pytest
+
+from geomcrystal.charts import (
+    TorusPointA,
+    TorusPointB,
+    crystal_parameter,
+    factor_act_coefficient,
+    ratio_act_coefficient,
+)
+from geomcrystal.ratfun import Q, const, var
+from geomcrystal.slgroup import corner_minor, gauss_decompose, generic_unipotent, x_elem
+
+PARAMETERS = {"z": crystal_parameter(), "3": const(3), "2/5": const(Q(2, 5))}
+
+
+def _line(label, value) -> str:
+    return f"{label}: {value} | {value.cert!r}"
+
+
+def _point_lines(label, point) -> list:
+    return [_line(f"{label} {key}", value) for key, value in sorted(point.coords.items())]
+
+
+def chart_actions() -> list:
+    lines = []
+    for cls in (TorusPointA, TorusPointB):
+        for n in (1, 2, 3):
+            p = cls.symbolic(n)
+            for i in range(1, n + 1):
+                for name, alpha in PARAMETERS.items():
+                    lines += _point_lines(f"{cls.chart} n={n} i={i} alpha={name}", p.act(i, alpha))
+    return lines
+
+
+def coefficients_and_changes() -> list:
+    alpha = crystal_parameter()
+    lines = []
+    for n in (1, 2, 3):
+        a, b = TorusPointA.symbolic(n), TorusPointB.symbolic(n)
+        for i in range(1, n + 1):
+            for k in range(0, i + 1):
+                lines.append(_line(f"a n={n} i={i} k={k}", factor_act_coefficient(i, k, a.coords, alpha)))
+            for k in range(1, i + 1):
+                lines.append(_line(f"A n={n} i={i} k={k}", ratio_act_coefficient(i, k, b.coords, alpha)))
+            lines.append(_line(f"w n={n} i={i}", b.weight_component(i)))
+        lines += _point_lines(f"to_ratio n={n}", a.to_ratio())
+        lines += _point_lines(f"to_factor n={n}", b.to_factor())
+    return lines
+
+
+def _matrix_lines(label, m) -> list:
+    return [
+        _line(f"{label} [{r},{c}]", entry)
+        for r, row in enumerate(m.rows)
+        for c, entry in enumerate(row)
+    ]
+
+
+def matrices() -> list:
+    z = crystal_parameter()
+    lines = []
+    for n in (1, 2, 3):
+        u = generic_unipotent(n)
+        lines += _matrix_lines(f"u n={n}", u)
+        lines += [_line(f"minor n={n} i={i}", corner_minor(i, u)) for i in range(1, n + 1)]
+        # the Gauss factors of u and of each x_i(z) * u
+        for i in range(0, n + 1):
+            f = gauss_decompose(x_elem(i, z, n) * u if i else u)
+            lines += _matrix_lines(f"gauss n={n} i={i} lower", f.lower)
+            lines += [_line(f"gauss n={n} i={i} torus {r}", d) for r, d in enumerate(f.torus.diag)]
+            lines += _matrix_lines(f"gauss n={n} i={i} upper", f.upper)
+    return lines
+
+
+NAMES = ("x", "y", "b", "a[1,2]", "c1")
+
+
+def _random_expression(rng: random.Random):
+    def leaf():
+        r = rng.random()
+        if r < 0.5:
+            return var(rng.choice(NAMES))
+        if r < 0.8:
+            return const(rng.randint(-4, 6))
+        return const(Q(rng.randint(1, 7), rng.randint(1, 5)))
+
+    value = leaf()
+    for _ in range(rng.randint(1, 5)):
+        other = leaf() ** rng.randint(1, 3) if rng.random() < 0.3 else leaf()
+        op = rng.randrange(4)
+        if op == 0:
+            value = value + other
+        elif op == 1:
+            value = value - other
+        elif op == 2:
+            value = value * other
+        elif not other.is_zero:
+            value = value / other
+    return value
+
+
+def random_expressions() -> list:
+    rng = random.Random(4004)
+    lines = []
+    for idx in range(500):
+        f = _random_expression(rng)
+        lines.append(_line(f"expr {idx} {f.variables}", f))
+        weights = {name: rng.randint(-3, 3) for name in NAMES}
+        try:
+            g = f.subst_monomial(weights)
+        except ZeroDivisionError as exc:
+            lines.append(f"subst {idx}: {type(exc).__name__}")
+        else:
+            lines.append(_line(f"subst {idx}", g))
+    return lines
+
+
+SECTIONS = {
+    "chart-actions": chart_actions,
+    "coefficients-and-chart-changes": coefficients_and_changes,
+    "matrices": matrices,
+    "random-expressions": random_expressions,
+}
+
+DIGESTS = {
+    "chart-actions": "2267519c213572a8db2af82c0f80fb80a886bca690713132f2fe022a0b07fd51",
+    "coefficients-and-chart-changes": "b4194273cb1591df3046e8fee9d6a4ab79709bee8e8277d6bf8b2c9833c049db",
+    "matrices": "4eb13082139370b6e837c4b2b41814418fccb0eefe2351466522b97b36fe85ae",
+    "random-expressions": "04d92a28ca9dc7522cba8ec89783866a348485042c55dec8bb88197f3f8e3a84",
+}
+
+
+def digest(name: str) -> str:
+    text = "\n".join(SECTIONS[name]()) + "\n"
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(SECTIONS))
+def test_printed_forms_unchanged(name):
+    assert digest(name) == DIGESTS[name], f"printed forms of section {name!r} differ"

@@ -3,10 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from geomcrystal.ratfun import ONE, PoleError, Poly, Q, RatFun, _encode, const, parse, var
+from geomcrystal.ratfun import ONE, PoleError, Poly, Q, RatFun, _decode, _encode, const, parse, var
 
 x, y, z = var("x"), var("y"), var("z")
 
@@ -339,7 +339,7 @@ class TestIntegerCore:
 
     def test_poly_integer_constructors(self):
         assert Poly.const(3).terms == {0: 3}
-        assert type(Poly.variable("x").terms[1]) is int
+        assert type(Poly.variable("x").terms[_encode((1,))]) is int
         with pytest.raises(TypeError):
             Poly.const(Fraction(1, 2))
 
@@ -373,6 +373,48 @@ class TestPolyHash:
             assert hash(p) == hash(r)
 
     def test_unused_variable(self):
-        wide, narrow = Poly(("x", "y"), {1: 1}), Poly(("x",), {1: 1})
+        wide, narrow = Poly(("x", "y"), {_encode((1, 0)): 1}), Poly(("x",), {_encode((1,)): 1})
         assert wide == narrow
         assert hash(wide) == hash(narrow)
+
+
+_terms3 = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)), st.integers(-3, 3), max_size=6
+)
+
+
+class TestKeyCodec:
+    """The packed keys against an oracle that never reads a key: the
+    exponent vectors the polynomial was built from, in stored order."""
+
+    @PROPERTY
+    @given(_terms3, st.permutations(("w", "x", "y", "z")))
+    def test_key_order_is_grlex(self, terms, order):
+        base, order = ("x", "y", "z"), tuple(order)
+        p = _poly(base, terms, order)
+        expected = {
+            tuple(exps[base.index(v)] if v in base else 0 for v in order): c
+            for exps, c in terms.items()
+            if c
+        }
+        grlex = sorted(expected.items(), key=lambda item: (sum(item[0]), item[0]), reverse=True)
+        assert list(p.sorted_terms()) == grlex
+        assert dict(p.monomials()) == expected
+        assert p.used_vars() == {v for i, v in enumerate(order) if any(e[i] for e in expected)}
+        for exps in expected:
+            assert _decode(_encode(exps), len(exps)) == exps
+        if grlex:
+            assert p.leading_coefficient() == grlex[0][1]
+            assert p.total_degree() == max(sum(e) for e in expected)
+
+    @PROPERTY
+    @given(st.lists(st.integers(0, 30000), max_size=4))
+    @example([21845, 21845, 21845])  # degree 2**16 - 1: one past the capacity
+    @example([65534])
+    def test_codec_round_trip_or_overflow(self, exps):
+        exps = tuple(exps)
+        if sum(exps) >= 2**16 - 1:
+            with pytest.raises(OverflowError):
+                _encode(exps)
+        else:
+            assert _decode(_encode(exps), len(exps)) == exps

@@ -88,6 +88,13 @@ class TestNodes:
         with pytest.raises(ValueError):
             e.eval((1, 2, 3))
 
+    def test_float_point_rejected(self):
+        e = tropicalize(x + y)
+        with pytest.raises(TypeError):
+            e.eval({"x": 2.7, "y": 1})
+        with pytest.raises(TypeError):
+            e.eval((1, 2.0))
+
 
 class TestDegreeOracle:
     def test_sum(self):
@@ -212,6 +219,10 @@ class TestChartSharpIdentification:
     def test_range_check(self):
         with pytest.raises(ValueError):
             chart_to_sharp(1, {(1, 2): 3})
+
+    def test_float_rejected(self):
+        with pytest.raises(TypeError):
+            chart_to_sharp(1, {(1, 1): 1.5})
 
 
 class TestSerialization:
