@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from .ratfun import RatFun, as_ratfun, var
+from .ratfun import RatFun, as_int, as_ratfun, var
 from .slgroup import MatRF, TorusElem, coroot, factored_unipotent, symbolic_lower_coords
 
 
@@ -78,6 +78,7 @@ class _ChartPoint:
     __slots__ = ("n", "coords")
 
     def __init__(self, n: int, coords: Mapping):
+        n = as_int(n)
         expected = set(index_pairs(n))
         coords = {key: as_ratfun(val) for key, val in coords.items()}
         if set(coords) != expected:
@@ -158,6 +159,8 @@ def factor_act_coefficients(i: int, coords: Mapping, alpha) -> list:
 
 
 def factor_act_coefficient(i: int, k: int, coords: Mapping, alpha) -> RatFun:
+    if not 0 <= k <= i:
+        raise IndexError(f"mixing ratio index {k} out of range 0..{i}")
     return factor_act_coefficients(i, coords, alpha)[k]
 
 

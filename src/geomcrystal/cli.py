@@ -252,9 +252,11 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except (OSError, ValueError, TypeError, LookupError, ArithmeticError) as exc:
+    except (OSError, ValueError, TypeError, LookupError, ArithmeticError, RecursionError) as exc:
         # bad input: unreadable files, malformed or inexact values, indices
-        # out of range, partial maps undefined at the given point
+        # out of range, partial maps undefined at the given point, and
+        # input nested deeper than the recursive parser or certificate walk
+        # can follow (RecursionError; no file has been written by then)
         _print(f"error: {exc}")
         return 2
 

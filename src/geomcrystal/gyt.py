@@ -15,10 +15,11 @@ at the last.
 from __future__ import annotations
 
 import json
-import operator
 import random
 from itertools import accumulate
 from typing import Mapping, Sequence
+
+from .ratfun import as_int
 
 
 class Annihilated(Exception):
@@ -36,8 +37,9 @@ class SharpElement:
     __slots__ = ("n", "entries")
 
     def __init__(self, n: int, entries: Mapping):
+        n = as_int(n)
         expected = sharp_pairs(n)
-        entries = {key: operator.index(val) for key, val in entries.items()}
+        entries = {key: as_int(val) for key, val in entries.items()}
         unknown = set(entries) - set(expected)
         if unknown:
             raise ValueError(f"entries outside the index set: {sorted(unknown)}")
@@ -306,10 +308,6 @@ class Tableau:
     @property
     def shape(self) -> tuple:
         return tuple(len(r) for r in self.rows)
-
-    @property
-    def cells(self) -> int:
-        return sum(len(r) for r in self.rows)
 
     def to_json(self) -> dict:
         return {"shape": list(self.shape), "rows": [list(r) for r in self.rows]}

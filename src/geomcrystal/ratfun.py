@@ -58,6 +58,14 @@ def _rational(value) -> Q:
     raise TypeError(f"not an exact rational: {value!r}")
 
 
+def as_int(value) -> int:
+    """``value`` as an exact integer; bools and inexact numbers are
+    rejected rather than read as 1, 0 or a truncation."""
+    if isinstance(value, bool):
+        raise TypeError(f"not an integer: {value!r}")
+    return operator.index(value)
+
+
 def _decode(key: int, width: int) -> tuple:
     return tuple((key >> shift) & _MASK for shift in range(_WIDTH * (width - 1), -1, -_WIDTH))
 
@@ -460,9 +468,6 @@ class RatFun:
     def variables(self) -> tuple:
         return self.num.vars
 
-    def drop_cert(self) -> "RatFun":
-        return RatFun(self.num, self.den, None) if self.cert is not None else self
-
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other) -> "RatFun":
@@ -545,18 +550,13 @@ class RatFun:
     def subst_monomial(self, exponents) -> "RatFun":
         """Substitute each variable by ``c`` raised to the given integer.
 
-        ``exponents`` is a mapping ``{variable: int}`` (missing names count
-        as 0) or a sequence aligned with :attr:`variables`.  Negative
-        exponents are allowed; the Laurent fraction is cleared into an
-        ordinary fraction in the single variable ``c``.  The positivity
-        certificate is preserved: a certified value expands with positive
-        coefficients only, so no cancellation can occur while collecting.
+        ``exponents`` is a mapping ``{variable: int}``; missing names count
+        as 0.  Negative exponents are allowed; the Laurent fraction is
+        cleared into an ordinary fraction in the single variable ``c``.
+        The positivity certificate is preserved: a certified value expands
+        with positive coefficients only, so no cancellation can occur while
+        collecting.
         """
-        if not isinstance(exponents, Mapping):
-            seq = list(exponents)
-            if len(seq) != len(self.variables):
-                raise ValueError("exponent vector length mismatch")
-            exponents = dict(zip(self.variables, seq))
         weights = [int(exponents.get(name, 0)) for name in self.num.vars]
         num_l = _laurent_collapse(self.num, weights)
         den_l = _laurent_collapse(self.den, weights)
@@ -626,17 +626,18 @@ def _strip_monomial_content(vars: tuple, nt: dict, dt: dict):
     width = len(vars)
     shifts = range(_WIDTH * (width - 1), -1, -_WIDTH)
     low = None
-    for terms in (nt, dt):
+    # the denominator first: its constant term, if any, ends the scan
+    for terms in (dt, nt):
         for key in terms:
             if low is None:
                 low = list(_decode(key, width))
-                continue
-            for i, shift in enumerate(shifts):
-                e = (key >> shift) & _MASK
-                if e < low[i]:
-                    low[i] = e
-    if low is None or not any(low):
-        return nt, dt
+            else:
+                for i, shift in enumerate(shifts):
+                    e = (key >> shift) & _MASK
+                    if e < low[i]:
+                        low[i] = e
+            if not any(low):
+                return nt, dt
     shift = _encode(low)
     nt = {k - shift: c for k, c in nt.items()}
     dt = {k - shift: c for k, c in dt.items()}

@@ -7,15 +7,13 @@ construction-history certificate, so expression size stays linear in
 the formula; the independent degree oracle (exact monomial substitution
 followed by univariate degree extraction) proves pointwise correctness.
 
-Bottom is the explicit minus-infinity value of the semiring: a sum with
-a Bottom operand is Bottom, a max ignores Bottom operands, and an empty
-max is Bottom.  Expressions built from nonzero certified values never
-evaluate to Bottom at the root.
+The semiring is (Z, max, +) without minus infinity: a certified value
+is a nonzero subtraction-free expression, so every max has at least one
+argument and every expression evaluates to an integer.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -28,22 +26,13 @@ from .ratfun import (
     CPow,
     CVar,
     RatFun,
+    as_int,
     cert_variables,
 )
 
 
 class NotPositive(ValueError):
     """Tropicalization requires a subtraction-free certificate."""
-
-
-class _Bottom:
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "-inf"
-
-
-BOTTOM = _Bottom()
 
 
 @dataclass(frozen=True, slots=True)
@@ -72,35 +61,26 @@ class TMax:
     args: tuple
 
 
-@dataclass(frozen=True, slots=True)
-class TBottom:
-    pass
-
-
 def tmax(args) -> object:
-    """Max node; Bottom children drop, an empty max is Bottom, a
-    singleton collapses to its child."""
+    """Max node; a singleton collapses to its child.  An empty max has
+    no value in the semiring."""
     kept = []
     for a in args:
-        if isinstance(a, TBottom):
-            continue
         if isinstance(a, TMax):
             kept.extend(a.args)
         else:
             kept.append(a)
     if not kept:
-        return TBottom()
+        raise ValueError("max of no arguments")
     if len(kept) == 1:
         return kept[0]
     return TMax(tuple(kept))
 
 
 def tsum(args) -> object:
-    """Sum node; a Bottom child makes the whole sum Bottom."""
+    """Sum node; constants drop, a singleton collapses to its child."""
     kept = []
     for a in args:
-        if isinstance(a, TBottom):
-            return TBottom()
         if isinstance(a, TSum):
             kept.extend(a.args)
         elif not isinstance(a, TConst):
@@ -113,10 +93,6 @@ def tsum(args) -> object:
 
 
 def tdiff(pos, neg) -> object:
-    if isinstance(neg, TBottom):
-        raise ValueError("cannot subtract Bottom")
-    if isinstance(pos, TBottom):
-        return TBottom()
     if isinstance(neg, TConst):
         return pos
     return TDiff(pos, neg)
@@ -142,11 +118,11 @@ class TropExpr:
 
     def eval(self, point):
         """Evaluate at an integer vector (aligned with :attr:`vars`) or a
-        mapping {name: int}; returns an int or BOTTOM."""
+        mapping {name: int}; returns an int."""
         if isinstance(point, Mapping):
-            values = [operator.index(point[name]) for name in self.vars]
+            values = [as_int(point[name]) for name in self.vars]
         else:
-            values = [operator.index(x) for x in point]
+            values = [as_int(x) for x in point]
             if len(values) != len(self.vars):
                 raise ValueError(
                     f"point has {len(values)} coordinates, expression has {len(self.vars)}"
@@ -172,31 +148,18 @@ def _eval_node(node, values: list):
         return values[node.index]
     if isinstance(node, TConst):
         return 0
-    if isinstance(node, TBottom):
-        return BOTTOM
     if isinstance(node, TSum):
         total = 0
         for a in node.args:
-            v = _eval_node(a, values)
-            if v is BOTTOM:
-                return BOTTOM
-            total += v
+            total += _eval_node(a, values)
         return total
     if isinstance(node, TDiff):
-        p = _eval_node(node.pos, values)
-        n = _eval_node(node.neg, values)
-        if n is BOTTOM:
-            raise ValueError("cannot subtract Bottom")
-        if p is BOTTOM:
-            return BOTTOM
-        return p - n
+        return _eval_node(node.pos, values) - _eval_node(node.neg, values)
     if isinstance(node, TMax):
-        best = BOTTOM
-        for a in node.args:
+        best = _eval_node(node.args[0], values)
+        for a in node.args[1:]:
             v = _eval_node(a, values)
-            if v is BOTTOM:
-                continue
-            if best is BOTTOM or v > best:
+            if v > best:
                 best = v
         return best
     raise TypeError(f"unknown node {node!r}")
@@ -207,8 +170,6 @@ def _prefix(node, vars: tuple) -> str:
         return vars[node.index]
     if isinstance(node, TConst):
         return "0"
-    if isinstance(node, TBottom):
-        return "-inf"
     if isinstance(node, TSum):
         return "(+ " + " ".join(_prefix(a, vars) for a in node.args) + ")"
     if isinstance(node, TDiff):
@@ -271,14 +232,6 @@ class TropMap:
         self.names = tuple(names)
         self.components = tuple(components)
 
-    @property
-    def domain_dim(self) -> int:
-        return len(self.vars)
-
-    @property
-    def codomain_dim(self) -> int:
-        return len(self.components)
-
     def eval(self, point) -> tuple:
         if not isinstance(point, Mapping):
             point = dict(zip(self.vars, point))
@@ -296,19 +249,11 @@ class TropMap:
 
 def ud_map(components, vars: tuple | None = None) -> TropMap:
     """Tropicalize a named family of certified values over a shared
-    domain.  ``components`` is a mapping name -> RatFun or a sequence of
-    (name, RatFun) pairs."""
-    if isinstance(components, Mapping):
-        items = list(components.items())
-    else:
-        items = [(name, f) for name, f in components]
+    domain.  ``components`` is a sequence of (name, RatFun) pairs; by
+    default the domain is the union of their variables, sorted."""
+    items = list(components)
     if vars is None:
-        names: set = set()
-        for _, f in items:
-            if f.cert is None:
-                raise NotPositive(f"component {_!r} carries no certificate")
-            names |= cert_variables(f.cert)
-        vars = tuple(sorted(names))
+        vars = tuple(sorted({v for _, f in items for v in tropicalize(f).vars}))
     exprs = tuple(tropicalize(f, vars) for _, f in items)
     return TropMap(vars, tuple(name for name, _ in items), exprs)
 

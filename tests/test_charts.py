@@ -4,6 +4,7 @@ from geomcrystal.charts import (
     TorusPointA,
     TorusPointB,
     crystal_parameter,
+    factor_act_coefficient,
     index_pairs,
     ratio_act_coefficient,
 )
@@ -28,6 +29,14 @@ def test_act_direction_out_of_range(cls):
     for i in (0, 3, 5):
         with pytest.raises(IndexError):
             p.act(i, const(3))
+
+
+@pytest.mark.parametrize("i", [1, 2, 3])
+def test_factor_coefficient_index_out_of_range(i):
+    p = TorusPointA.symbolic(3)
+    for k in (-1, i + 1):
+        with pytest.raises(IndexError, match=f"0..{i}"):
+            factor_act_coefficient(i, k, p.coords, crystal_parameter())
 
 
 class TestFactorChart:

@@ -103,29 +103,49 @@ class TestAct:
             (None, ["trop", "--formula", "gammaA", "--n", "1", "--point", '{{"A[1,1]": 2.7}}']),
             (None, ["trop", "--formula", "alpha_ik", "--n", "2", "--i", "2", "--k", "0",
                     "--point", '{{"A[1,1]": 1, "A[1,2]": 2, "A[2,2]": 0, "z": 1}}']),
+            (None, ["trop", "--formula", "gammaA", "--n", "1", "--point", '{{"A[1,1]": true}}']),
+            ("bool-sharp", ["act", "sharp", "{state}", "--i", "1", "--param", "1"]),
+            ("bool-sharp-rank", ["act", "sharp", "{state}", "--i", "1", "--param", "1"]),
+            ("bool-chart-rank", ["act", "geom-A", "{state}", "--i", "1", "--param", "3"]),
+            ("nested-expr", ["trop", "--expr-file", "{state}", "--point", '{{"x": 1}}']),
+            ("quotient-chain", ["trop", "--expr-file", "{state}", "--point", '{{"x": 1}}']),
+            ("nested-chart", ["act", "geom-A", "{state}", "--i", "1", "--param", "3"]),
         ],
         ids=[
             "non-integer-power", "direction-out-of-range", "missing-state-file", "malformed-param",
             "chart-direction-out-of-range", "negative-param", "symbolic-param",
             "negative-chart-coordinate", "float-sharp-entry", "float-trop-point",
-            "mixing-ratio-index-out-of-range",
+            "mixing-ratio-index-out-of-range", "bool-trop-point", "bool-sharp-entry",
+            "bool-sharp-rank", "bool-chart-rank", "nested-parentheses-expr",
+            "long-quotient-chain-expr", "nested-parentheses-chart-coordinate",
         ],
     )
     def test_bad_input_is_an_error(self, tmp_path, capsys, state, argv):
         path = tmp_path / "state.json"
-        if state == "sharp":
-            path.write_text(json.dumps({"n": 2, "B": {"1,2": 2, "1,3": 1, "2,3": 3}}))
-        elif state == "chart":
-            path.write_text(json.dumps({"n": 1, "chart": "A", "coords": {"1,1": "6"}}))
-        elif state == "negative-chart":
-            path.write_text(json.dumps({"n": 1, "chart": "A", "coords": {"1,1": "-6"}}))
-        elif state == "float-sharp":
-            path.write_text(json.dumps({"n": 2, "B": {"1,2": 1.5, "1,3": 1, "2,3": 3}}))
+        if state is not None:
+            path.write_text(BAD_STATES[state])
         before = path.read_text() if path.exists() else None
         code, out = run(capsys, *(arg.format(state=path) for arg in argv))
         assert code == 2
         assert out.startswith("error: ")
         assert (path.read_text() if path.exists() else None) == before
+
+
+BAD_STATES = {
+    "sharp": json.dumps({"n": 2, "B": {"1,2": 2, "1,3": 1, "2,3": 3}}),
+    "chart": json.dumps({"n": 1, "chart": "A", "coords": {"1,1": "6"}}),
+    "negative-chart": json.dumps({"n": 1, "chart": "A", "coords": {"1,1": "-6"}}),
+    "float-sharp": json.dumps({"n": 2, "B": {"1,2": 1.5, "1,3": 1, "2,3": 3}}),
+    "bool-sharp": json.dumps({"n": 1, "B": {"1,2": True}}),
+    "bool-sharp-rank": json.dumps({"n": True, "B": {"1,2": 0}}),
+    "bool-chart-rank": json.dumps({"n": True, "chart": "A", "coords": {"1,1": "6"}}),
+    # deeper than the recursive-descent parser and the certificate walk go
+    "nested-expr": "(" * 300 + "x" + ")" * 300,
+    "quotient-chain": "/".join(["x"] * 1501),
+    "nested-chart": json.dumps(
+        {"n": 1, "chart": "A", "coords": {"1,1": "(" * 300 + "6" + ")" * 300}}
+    ),
+}
 
 
 class TestGraph:

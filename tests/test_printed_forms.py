@@ -1,8 +1,9 @@
 """Pinned printed forms.
 
 Each section renders a fixed family of values (``str`` and the
-certificate ``repr`` of every component) and compares the sha256 of the
-rendering with a pinned digest.  A change to the internal representation
+certificate ``repr`` of every component, or the max-plus expression and
+its variable order) and compares the sha256 of the rendering with a
+pinned digest.  A change to the internal representation
 (the packed monomial keys, the term order, normalization) must leave
 every printed form and certificate unchanged; a failure names the
 section that differs.  To see what changed, print ``SECTIONS[name]()``
@@ -23,6 +24,7 @@ from geomcrystal.charts import (
 )
 from geomcrystal.ratfun import Q, const, var
 from geomcrystal.slgroup import corner_minor, gauss_decompose, generic_unipotent, x_elem
+from geomcrystal.ud import tropicalize
 
 PARAMETERS = {"z": crystal_parameter(), "3": const(3), "2/5": const(Q(2, 5))}
 
@@ -86,6 +88,31 @@ def matrices() -> list:
     return lines
 
 
+def tropical_forms() -> list:
+    """The max-plus expression and variable order of every coefficient,
+    weight component and chart change of both charts."""
+    alpha = crystal_parameter()
+    lines = []
+
+    def trop(label, value):
+        e = tropicalize(value)
+        lines.append(f"{label}: {e} | {e.vars}")
+
+    for n in (1, 2, 3):
+        a, b = TorusPointA.symbolic(n), TorusPointB.symbolic(n)
+        for i in range(1, n + 1):
+            for k in range(0, i + 1):
+                trop(f"a n={n} i={i} k={k}", factor_act_coefficient(i, k, a.coords, alpha))
+            for k in range(1, i + 1):
+                trop(f"A n={n} i={i} k={k}", ratio_act_coefficient(i, k, b.coords, alpha))
+            trop(f"w n={n} i={i}", b.weight_component(i))
+        for key, value in sorted(a.to_ratio().coords.items()):
+            trop(f"to_ratio n={n} {key}", value)
+        for key, value in sorted(b.to_factor().coords.items()):
+            trop(f"to_factor n={n} {key}", value)
+    return lines
+
+
 NAMES = ("x", "y", "b", "a[1,2]", "c1")
 
 
@@ -134,6 +161,7 @@ SECTIONS = {
     "coefficients-and-chart-changes": coefficients_and_changes,
     "matrices": matrices,
     "random-expressions": random_expressions,
+    "tropical-forms": tropical_forms,
 }
 
 DIGESTS = {
@@ -141,6 +169,7 @@ DIGESTS = {
     "coefficients-and-chart-changes": "b4194273cb1591df3046e8fee9d6a4ab79709bee8e8277d6bf8b2c9833c049db",
     "matrices": "4eb13082139370b6e837c4b2b41814418fccb0eefe2351466522b97b36fe85ae",
     "random-expressions": "04d92a28ca9dc7522cba8ec89783866a348485042c55dec8bb88197f3f8e3a84",
+    "tropical-forms": "54a284b7c850217691ab894ccabda1923cd13dc973f65f96827c400db060e043",
 }
 
 

@@ -15,17 +15,13 @@ from geomcrystal.gyt import SharpElement
 from geomcrystal.gyt import sharp_pairs as sharp_index_pairs
 from geomcrystal.ratfun import const, parse, var
 from geomcrystal.ud import (
-    BOTTOM,
     NotPositive,
-    TropExpr,
     chart_to_sharp,
     degree_oracle,
     sharp_to_chart,
     tmax,
     tropicalize,
-    tsum,
     ud_map,
-    TBottom,
     TVar,
 )
 
@@ -66,22 +62,12 @@ class TestTropicalize:
 
 
 class TestNodes:
-    def test_empty_max_is_bottom(self):
-        assert tmax([]) == TBottom()
+    def test_empty_max_is_an_error(self):
+        with pytest.raises(ValueError):
+            tmax([])
 
     def test_singleton_max_collapses(self):
         assert tmax([TVar(0)]) == TVar(0)
-
-    def test_bottom_in_sum(self):
-        assert tsum([TVar(0), TBottom()]) == TBottom()
-
-    def test_max_ignores_bottom(self):
-        e = TropExpr(("x",), tmax([TVar(0), TBottom()]))
-        assert e.eval((5,)) == 5
-
-    def test_bottom_evaluates(self):
-        e = TropExpr((), TBottom())
-        assert e.eval(()) is BOTTOM
 
     def test_dimension_mismatch(self):
         e = tropicalize(x + y)
