@@ -557,7 +557,7 @@ class RatFun:
         with positive coefficients only, so no cancellation can occur while
         collecting.
         """
-        weights = [int(exponents.get(name, 0)) for name in self.num.vars]
+        weights = [as_int(exponents.get(name, 0)) for name in self.num.vars]
         num_l = _laurent_collapse(self.num, weights)
         den_l = _laurent_collapse(self.den, weights)
         if not den_l:

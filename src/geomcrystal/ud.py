@@ -4,8 +4,11 @@ A certified rational function is rewritten over the max-plus semiring:
 multiplication becomes addition, division subtraction, addition becomes
 max, and positive constants become 0.  The rewriting walks the value's
 construction-history certificate, so expression size stays linear in
-the formula; the independent degree oracle (exact monomial substitution
-followed by univariate degree extraction) proves pointwise correctness.
+the formula.  The independent degree oracle proves pointwise correctness:
+it reads only the expanded num and den, never the certificate, and takes
+the top degree of their Laurent collapse under the monomial co-character.
+Both evaluate a whole batch of points at once (:meth:`TropExpr.eval_many`,
+:func:`degree_oracle_many`).
 
 The semiring is (Z, max, +) without minus infinity: a certified value
 is a nonzero subtraction-free expression, so every max has at least one
@@ -14,8 +17,10 @@ argument and every expression evaluates to an integer.
 
 from __future__ import annotations
 
+import itertools
+import operator
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Mapping
 
 from .gyt import SharpElement
 from .ratfun import (
@@ -119,15 +124,19 @@ class TropExpr:
     def eval(self, point):
         """Evaluate at an integer vector (aligned with :attr:`vars`) or a
         mapping {name: int}; returns an int."""
-        if isinstance(point, Mapping):
-            values = [as_int(point[name]) for name in self.vars]
-        else:
-            values = [as_int(x) for x in point]
-            if len(values) != len(self.vars):
-                raise ValueError(
-                    f"point has {len(values)} coordinates, expression has {len(self.vars)}"
-                )
-        return _eval_node(self.root, values)
+        return self.eval_many([point])[0]
+
+    def eval_many(self, points) -> list:
+        """Evaluate at each point of a batch (each as in :meth:`eval`);
+        returns a list of ints in point order.
+
+        Each point is coerced once, then the tree is walked once for the
+        whole batch: every node becomes a column over all points, streamed
+        through ``map`` so no intermediate column is kept."""
+        rows = [_coerce_point(point, self.vars) for point in points]
+        if not rows:
+            return []
+        return list(_column(self.root, list(zip(*rows)), len(rows)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TropExpr):
@@ -143,25 +152,37 @@ class TropExpr:
         return f"TropExpr({self})"
 
 
-def _eval_node(node, values: list):
+_INT = frozenset((int,))
+
+
+def _coerce_point(point, vars: tuple) -> list:
+    if isinstance(point, Mapping):
+        values = [point[name] for name in vars]
+    else:
+        values = list(point)
+        if len(values) != len(vars):
+            raise ValueError(f"point has {len(values)} coordinates, expression has {len(vars)}")
+    if not _INT.issuperset(map(type, values)):  # only plain ints skip the per-value check
+        values = [as_int(x) for x in values]
+    return values
+
+
+def _column(node, columns: list, count: int):
+    """Iterator over the values of ``node`` at each point; ``columns[i]``
+    holds variable i over the batch of ``count`` points."""
     if isinstance(node, TVar):
-        return values[node.index]
+        return iter(columns[node.index])
     if isinstance(node, TConst):
-        return 0
+        return itertools.repeat(0, count)
     if isinstance(node, TSum):
-        total = 0
-        for a in node.args:
-            total += _eval_node(a, values)
+        total = _column(node.args[0], columns, count)
+        for a in node.args[1:]:
+            total = map(operator.add, total, _column(a, columns, count))
         return total
     if isinstance(node, TDiff):
-        return _eval_node(node.pos, values) - _eval_node(node.neg, values)
+        return map(operator.sub, _column(node.pos, columns, count), _column(node.neg, columns, count))
     if isinstance(node, TMax):
-        best = _eval_node(node.args[0], values)
-        for a in node.args[1:]:
-            v = _eval_node(a, values)
-            if v > best:
-                best = v
-        return best
+        return map(max, *(_column(a, columns, count) for a in node.args))
     raise TypeError(f"unknown node {node!r}")
 
 
@@ -217,9 +238,59 @@ def _build(cert, index: Mapping):
 
 
 def degree_oracle(f: RatFun, point) -> int:
-    """Ground truth for tropicalization: substitute the monomial
-    co-character exactly and read off the univariate degree."""
-    return f.subst_monomial(point).degree()
+    """Ground truth for tropicalization: the degree in ``c`` of ``f`` with
+    each variable replaced by ``c`` to the power ``point[name]`` (a mapping;
+    missing names count as 0)."""
+    return degree_oracle_many(f, tuple(point), [point])[0]
+
+
+def degree_oracle_many(f: RatFun, vars: tuple, points) -> list:
+    """:func:`degree_oracle` at each point of a batch, each point an integer
+    vector aligned with ``vars``; variables of ``f`` outside ``vars`` count
+    as 0.
+
+    The exponent vectors of the expanded num and den are decoded once.  At
+    each point every term goes to its weighted degree, coefficients with
+    equal degree are summed (the Laurent collapse), and the degree is the
+    largest degree with a nonzero sum in num minus that in den.  This is
+    ``f.subst_monomial(point).degree()`` for any input, certified or not,
+    since normalization cancels no common factor.  Raises
+    ``ZeroDivisionError`` where the denominator collapses to zero and
+    ``ValueError`` where the numerator does.
+    """
+    vars = tuple(vars)
+    num = _weighted_terms(f.num, vars)
+    den = _weighted_terms(f.den, vars)
+    out = []
+    for point in points:
+        values = _coerce_point(point, vars)
+        low = _top_degree(den, values)
+        if low is None:
+            raise ZeroDivisionError("monomial substitution annihilates the denominator")
+        high = _top_degree(num, values)
+        if high is None:
+            raise ValueError("degree of the zero rational function")
+        out.append(high - low)
+    return out
+
+
+def _weighted_terms(poly, vars: tuple) -> list:
+    """(((slot in vars, exponent), ...), coefficient) for each term."""
+    slot = {name: i for i, name in enumerate(vars)}
+    return [
+        (tuple((slot[name], e) for name, e in zip(poly.vars, exps) if e and name in slot), c)
+        for exps, c in poly.monomials()
+    ]
+
+
+def _top_degree(terms: list, values: list):
+    """Largest weighted degree whose collapsed coefficient is nonzero, or
+    None when every degree cancels."""
+    sums = {}
+    for exps, c in terms:
+        d = sum(values[i] * e for i, e in exps)
+        sums[d] = sums.get(d, 0) + c
+    return max((d for d, s in sums.items() if s), default=None)
 
 
 class TropMap:

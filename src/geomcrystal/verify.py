@@ -394,40 +394,41 @@ def udmain_reports(n: int, seed: int = DEFAULT_SEED) -> list:
 
     def action_matches(i):
         def thunk():
-            for pt in points:
-                chart_vals = dict(zip(pairs, pt))
-                z = pt[-1]
-                v = ud.chart_to_sharp(n, chart_vals)
-                moved = gyt.crystal_power(i, z, v)
-                for k in range(1, i + 1):
-                    gyt_amount = v.b(k, i + 1) - moved.b(k, i + 1)
-                    if exprs[(i, k)].eval(pt) != gyt_amount:
+            columns = [exprs[(i, k)].eval_many(points) for k in range(1, i + 1)]
+            for pt, trop in zip(points, zip(*columns)):
+                v = ud.chart_to_sharp(n, dict(zip(pairs, pt)))
+                moved = gyt.crystal_power(i, pt[-1], v)
+                for k, amount in enumerate(trop, start=1):
+                    if amount != v.b(k, i + 1) - moved.b(k, i + 1):
                         return False, {"point": list(pt), "i": i, "k": k}
             return True, None
 
         return thunk
 
     def weight_matches():
-        for pt in points:
-            chart_vals = dict(zip(pairs, pt))
-            v = ud.chart_to_sharp(n, chart_vals)
-            wt = gyt.weight(v)
-            for i in range(1, n + 1):
-                if weight_exprs[i].eval(pt[:-1]) != wt[i - 1]:
+        apoints = [pt[:-1] for pt in points]
+        columns = [weight_exprs[i].eval_many(apoints) for i in range(1, n + 1)]
+        for pt, trop in zip(points, zip(*columns)):
+            wt = gyt.weight(ud.chart_to_sharp(n, dict(zip(pairs, pt))))
+            for i, amount in enumerate(trop, start=1):
+                if amount != wt[i - 1]:
                     return False, {"point": list(pt), "i": i}
         return True, None
 
     def soundness():
-        for pt in points:
-            zpoint = dict(zip(order, pt))
-            for key, f in coeffs.items():
-                if exprs[key].eval(pt) != ud.degree_oracle(f, zpoint):
-                    return False, {"point": list(pt), "formula": f"coeff{key}"}
-            apoint = dict(zip(avars, pt[:-1]))
-            for i, f in weights.items():
-                if weight_exprs[i].eval(pt[:-1]) != ud.degree_oracle(f, apoint):
-                    return False, {"point": list(pt), "formula": f"weight{i}"}
-        return True, None
+        apoints = [pt[:-1] for pt in points]
+        formulas = [(f"coeff{key}", exprs[key], f, order, points) for key, f in coeffs.items()]
+        formulas += [(f"weight{i}", weight_exprs[i], f, avars, apoints) for i, f in weights.items()]
+        first = None  # (point index, formula): the earliest point, then the earliest formula
+        for name, expr, f, vars, pts in formulas:
+            trop = expr.eval_many(pts)
+            oracle = ud.degree_oracle_many(f, vars, pts)
+            bad = next((j for j, (a, b) in enumerate(zip(trop, oracle)) if a != b), None)
+            if bad is not None and (first is None or bad < first[0]):
+                first = (bad, name)
+        if first is None:
+            return True, None
+        return False, {"point": list(points[first[0]]), "formula": first[1]}
 
     for i in range(1, n + 1):
         out.append(
