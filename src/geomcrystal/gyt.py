@@ -47,20 +47,25 @@ class SharpElement:
         self.entries = {key: entries.get(key, 0) for key in expected}
 
     @classmethod
+    def _trusted(cls, n: int, entries: dict) -> "SharpElement":
+        """An element over entries already validated: every stored pair,
+        each an int.  Skips the constructor's checks."""
+        v = object.__new__(cls)
+        v.n = n
+        v.entries = entries
+        return v
+
+    @classmethod
     def zero(cls, n: int) -> "SharpElement":
         return cls(n, {})
 
     @classmethod
     def random(cls, n: int, rng: random.Random, lo: int = -10, hi: int = 10) -> "SharpElement":
-        return cls(n, {key: rng.randint(lo, hi) for key in sharp_pairs(n)})
+        n = as_int(n)
+        return cls._trusted(n, {key: rng.randint(lo, hi) for key in sharp_pairs(n)})
 
     def b(self, k: int, j: int) -> int:
         return self.entries[(k, j)]
-
-    def replace(self, updates: Mapping) -> "SharpElement":
-        merged = dict(self.entries)
-        merged.update(updates)
-        return SharpElement(self.n, merged)
 
     def key(self) -> tuple:
         return tuple(self.entries[p] for p in sharp_pairs(self.n))
@@ -117,26 +122,30 @@ def epsilon(i: int, v: SharpElement) -> int:
     return max(bvals(i, v))
 
 
+def _weight_coefficient(i: int, v: SharpElement) -> int:
+    """w_i: minus the sum of the entries B_{k,j} with k <= i < j."""
+    entries = v.entries
+    total = 0
+    for k in range(1, i + 1):
+        for j in range(i + 1, v.n + 2):
+            total += entries[(k, j)]
+    return -total
+
+
 def weight(v: SharpElement) -> tuple:
     """Coefficients (w_1, ..., w_n) of the weight on the simple-root basis."""
-    out = []
-    for i in range(1, v.n + 1):
-        total = 0
-        for k in range(1, i + 1):
-            for j in range(i + 1, v.n + 2):
-                total += v.entries[(k, j)]
-        out.append(-total)
-    return tuple(out)
+    return tuple(_weight_coefficient(i, v) for i in range(1, v.n + 1))
 
 
 def weight_pairing(i: int, v: SharpElement) -> int:
-    """<h_i, wt(v)> through the tridiagonal Cartan pairing."""
-    w = weight(v)
-    total = 2 * w[i - 1]
+    """<h_i, wt(v)> through the tridiagonal Cartan pairing: only w_{i-1},
+    w_i and w_{i+1} are summed."""
+    _check_direction(i, v.n)
+    total = 2 * _weight_coefficient(i, v)
     if i >= 2:
-        total -= w[i - 2]
+        total -= _weight_coefficient(i - 1, v)
     if i < v.n:
-        total -= w[i]
+        total -= _weight_coefficient(i + 1, v)
     return total
 
 
@@ -153,36 +162,36 @@ def extremes(i: int, v: SharpElement) -> tuple:
     return first, last
 
 
-def _shift(v: SharpElement, k: int, i: int, amount: int) -> SharpElement:
-    """Add ``amount`` to slot (k, i) and subtract it from (k, i+1);
-    the diagonal slot (i, i) is not stored and its update is dropped."""
-    updates = {}
-    if k < i:
-        updates[(k, i)] = v.entries[(k, i)] + amount
-    updates[(k, i + 1)] = v.entries[(k, i + 1)] - amount
-    return v.replace(updates)
+def _shifted(v: SharpElement, i: int, rows) -> SharpElement:
+    """One new element: for each (k, amount) of ``rows`` (int amounts,
+    distinct k), add the amount to slot (k, i) and subtract it from
+    (k, i+1); the diagonal slot (i, i) is not stored and its update is
+    dropped."""
+    entries = dict(v.entries)
+    for k, amount in rows:
+        if amount:
+            if k < i:
+                entries[(k, i)] += amount
+            entries[(k, i + 1)] -= amount
+    return SharpElement._trusted(v.n, entries)
 
 
 def etilde(i: int, v: SharpElement) -> SharpElement:
     """Raising operator: acts at the first maximizer of the column data."""
     first, _ = extremes(i, v)
-    return _shift(v, first, i, 1)
+    return _shifted(v, i, ((first, 1),))
 
 
 def ftilde(i: int, v: SharpElement) -> SharpElement:
     """Lowering operator: acts at the last maximizer of the column data."""
     _, last = extremes(i, v)
-    return _shift(v, last, i, -1)
+    return _shifted(v, i, ((last, -1),))
 
 
 def _signed_power(i: int, z: int, v: SharpElement) -> SharpElement:
-    """Closed form of the signed power e^z (lowering for z < 0): row k
-    shifts by the k-th amount of the two-max formula at z."""
-    out = v
-    for k, amount in enumerate(two_max_amounts(z, bvals(i, v)), start=1):
-        if amount:
-            out = _shift(out, k, i, amount)
-    return out
+    """Closed form of the signed power e^z (lowering for z < 0) at an int
+    z: row k shifts by the k-th amount of the two-max formula at z."""
+    return _shifted(v, i, enumerate(two_max_amounts(z, bvals(i, v)), start=1))
 
 
 def etilde_pow(i: int, beta: int, v: SharpElement) -> SharpElement:
@@ -191,6 +200,7 @@ def etilde_pow(i: int, beta: int, v: SharpElement) -> SharpElement:
     The per-row amounts come from the two-max formula; empty inner maxima
     drop out of the outer max.
     """
+    beta = as_int(beta)
     if beta < 0:
         raise ValueError("negative power; iterate the lowering operator instead")
     return _signed_power(i, beta, v)
@@ -198,7 +208,7 @@ def etilde_pow(i: int, beta: int, v: SharpElement) -> SharpElement:
 
 def etilde_pow_amounts(i: int, beta: int, v: SharpElement) -> tuple:
     """Row amounts (beta_1, ..., beta_i) applied by ``etilde_pow``."""
-    return two_max_amounts(beta, bvals(i, v))
+    return two_max_amounts(as_int(beta), bvals(i, v))
 
 
 def two_max_amounts(beta: int, bs: Sequence[int]) -> tuple:
@@ -224,6 +234,7 @@ def two_max_amounts(beta: int, bs: Sequence[int]) -> tuple:
 def ftilde_pow(i: int, count: int, v: SharpElement) -> SharpElement:
     """count-fold lowering operator (count >= 0): the two-max formula at
     the negative power -count."""
+    count = as_int(count)
     if count < 0:
         raise ValueError("negative count; use etilde_pow instead")
     return _signed_power(i, -count, v)
@@ -231,7 +242,7 @@ def ftilde_pow(i: int, count: int, v: SharpElement) -> SharpElement:
 
 def crystal_power(i: int, z: int, v: SharpElement) -> SharpElement:
     """Signed power: raising for z >= 0, lowering for z < 0."""
-    return _signed_power(i, z, v)
+    return _signed_power(i, as_int(z), v)
 
 
 def stilde(i: int, v: SharpElement) -> SharpElement:
@@ -288,7 +299,7 @@ class Tableau:
     __slots__ = ("rows",)
 
     def __init__(self, rows: Sequence[Sequence[int]]):
-        rows = tuple(tuple(int(e) for e in row) for row in rows)
+        rows = tuple(tuple(as_int(e) for e in row) for row in rows)
         widths = [len(r) for r in rows]
         if any(w == 0 for w in widths) or any(
             a < b for a, b in zip(widths, widths[1:])
@@ -445,9 +456,10 @@ def tensor_e_pow(i: int, beta: int, word: Sequence[int]) -> tuple:
     two-max formula on the running data b_k.  Raises :class:`Annihilated`
     if any factor would be raised out of the box crystal.
     """
+    beta = as_int(beta)
     if beta < 0:
         raise ValueError("negative power is not defined on box words")
-    word = tuple(int(w) for w in word)
+    word = tuple(as_int(w) for w in word)
     if beta == 0:
         return word
     out = []

@@ -28,8 +28,10 @@ order, so degree, leading term and term order are read off the keys
 without decoding.  Every product checks that its total degree stays
 below 2**16 - 1, and so does every packed key: an exponent never
 overflows into the next field.  Rationals (``Q``) appear only in
-evaluation results and certificate constants.  No floating point is
-used anywhere in this module: a float operand is rejected.
+certificate constants and as the one ``Q`` that an evaluation returns:
+it sums integer terms over a cleared denominator and divides once.  No
+floating point is used anywhere in this module: a float operand is
+rejected.
 """
 
 from __future__ import annotations
@@ -56,6 +58,32 @@ def _rational(value) -> Q:
     if isinstance(value, numbers.Rational):
         return Q(value)
     raise TypeError(f"not an exact rational: {value!r}")
+
+
+def _integer_ratio(value) -> tuple:
+    """(p, q) with ``value == p/q`` and q > 0 in lowest terms, for an
+    exact rational ``value``; inexact numbers raise ``TypeError``."""
+    if type(value) is int:
+        return value, 1
+    if type(value) is not Q:
+        value = _rational(value)
+    return value.numerator, value.denominator
+
+
+def _power_table(p: int, q: int, top: int) -> list:
+    """[p**e * q**(top - e) for e in 0..top]: the factor of exponent e of
+    a variable with value p/q, scaled by q**top."""
+    table = [1] * (top + 1)
+    acc = 1
+    for e in range(1, top + 1):
+        acc *= p
+        table[e] = acc
+    if q != 1:
+        acc = 1
+        for e in range(top - 1, -1, -1):
+            acc *= q
+            table[e] *= acc
+    return table
 
 
 def as_int(value) -> int:
@@ -294,20 +322,6 @@ class Poly:
             raise ValueError("leading coefficient of the zero polynomial")
         return self.terms[max(self.terms)]
 
-    def eval(self, point: Mapping[str, object]):
-        total = Q(0)
-        vals = [_rational(point[name]) if name in point else None for name in self.vars]
-        for mono, c in self.monomials():
-            term = c
-            for idx, e in enumerate(mono):
-                if e:
-                    v = vals[idx]
-                    if v is None:
-                        raise KeyError(f"no value for variable {self.vars[idx]!r}")
-                    term = term * v**e
-            total = total + term
-        return total
-
     def sorted_terms(self) -> Iterator:
         """(exponents, coefficient) pairs, graded-lexicographically largest
         first."""
@@ -541,11 +555,41 @@ class RatFun:
     # -- evaluation / substitution -------------------------------------------
 
     def eval(self, point: Mapping[str, object]):
-        """Exact value at a point given as ``{variable: rational}``."""
-        d = self.den.eval(point)
+        """Exact value at a point given as ``{variable: rational}``.
+
+        Every value of a variable of this function must be rational
+        (``TypeError`` otherwise).  A variable missing from ``point`` raises
+        ``KeyError``, unless it appears only in the numerator and the
+        point is a pole, which raises :class:`PoleError`.
+
+        Num and den are evaluated over one cleared denominator: a variable
+        with value p/q and largest exponent E contributes p^e * q^(E-e) to
+        a term of exponent e, so both sums are integers scaled by the same
+        positive factor, which cancels in the one ``Fraction`` returned.
+        """
+        vars, num, den = self.num.vars, self.num.terms, self.den.terms
+        values = [_integer_ratio(point[name]) if name in point else None for name in vars]
+        top = _WIDTH * len(vars)
+        shifts = [top - _WIDTH * (idx + 1) for idx in range(len(vars))]
+        missing = [(shift, name) for shift, name, value in zip(shifts, vars, values) if value is None]
+        if missing:
+            _check_bound(den, missing)
+        nkeys, dkeys = list(num), list(den)
+        nterms, dterms = list(num.values()), list(den.values())
+        for shift, value in zip(shifts, values):
+            if value is None:  # a numerator-only variable: checked at the end
+                continue
+            nexps = list(map(_MASK.__and__, map(shift.__rrshift__, nkeys)))
+            dexps = list(map(_MASK.__and__, map(shift.__rrshift__, dkeys)))
+            table = _power_table(*value, max(max(nexps, default=0), max(dexps)))
+            nterms = list(map(operator.mul, nterms, map(table.__getitem__, nexps)))
+            dterms = list(map(operator.mul, dterms, map(table.__getitem__, dexps)))
+        d = sum(dterms)
         if d == 0:
             raise PoleError(f"pole at {dict(point)!r}")
-        return self.num.eval(point) / d
+        if missing:
+            _check_bound(num, missing)
+        return Q(sum(nterms), d)
 
     def subst_monomial(self, exponents) -> "RatFun":
         """Substitute each variable by ``c`` raised to the given integer.
@@ -642,6 +686,16 @@ def _strip_monomial_content(vars: tuple, nt: dict, dt: dict):
     nt = {k - shift: c for k, c in nt.items()}
     dt = {k - shift: c for k, c in dt.items()}
     return nt, dt
+
+
+def _check_bound(terms: dict, missing: list):
+    """Raise ``KeyError`` for the first variable, in term order, that a
+    term uses and that has no value; ``missing`` holds the (field shift,
+    name) of each variable without a value."""
+    for key in terms:
+        for shift, name in missing:
+            if (key >> shift) & _MASK:
+                raise KeyError(f"no value for variable {name!r}")
 
 
 def _laurent_collapse(poly: Poly, weights: Sequence[int]) -> dict:

@@ -359,3 +359,46 @@ class TestTwoMax:
         assert word_epsilon(1, ()) == 0
         with pytest.raises(Annihilated):
             tensor_e_pow(1, 1, ())
+
+
+class TestOneCopyOperators:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_results_are_validated_elements(self, data):
+        n = data.draw(st.integers(1, 6))
+        size = len(index_pairs(n))
+        v = sharp(n, *data.draw(st.lists(st.integers(-30, 30), min_size=size, max_size=size)))
+        before = v.key()
+        i = data.draw(st.integers(1, n))
+        z = data.draw(st.integers(-60, 60))
+        for result in (crystal_power(i, z, v), stilde(i, v), etilde(i, v), ftilde(i, v)):
+            rebuilt = SharpElement(n, result.entries)
+            assert result == rebuilt
+            assert hash(result) == hash(rebuilt)
+            assert list(result.entries) == index_pairs(n)
+            assert all(type(b) is int for b in result.entries.values())
+        assert v.key() == before  # the operand is never updated in place
+
+
+class TestIntegerInputs:
+    @pytest.mark.parametrize("bad", [True, False, 1.0, 2.5, -1.0])
+    def test_powers_reject_bool_and_float(self, bad):
+        for op in (crystal_power, etilde_pow, ftilde_pow, etilde_pow_amounts):
+            with pytest.raises(TypeError):
+                op(1, bad, V)
+
+    def test_tableau_entries(self):
+        for rows in ([[1.9, 2.2]], [[1, 2.0]], [[True, 2]], [[1], [2.0]]):
+            with pytest.raises(TypeError):
+                Tableau(rows)
+
+    def test_word_power_and_letters(self):
+        with pytest.raises(TypeError):
+            tensor_e_pow(1, 1, [2.7, 1])
+        with pytest.raises(TypeError):
+            tensor_e_pow(1, 1, [True, 2])
+        with pytest.raises(TypeError):
+            tensor_e_pow(1, 0, (2.0,))
+        for beta in (1.0, True):
+            with pytest.raises(TypeError):
+                tensor_e_pow(1, beta, (2,))

@@ -1,4 +1,5 @@
 import math
+import numbers
 import random
 from fractions import Fraction
 
@@ -418,3 +419,90 @@ class TestKeyCodec:
                 _encode(exps)
         else:
             assert _decode(_encode(exps), len(exps)) == exps
+
+
+def _reference_eval(f: RatFun, point):
+    """Per-term ``Fraction`` evaluation, one term and one sum at a time,
+    with the error order of ``RatFun.eval``: a non-rational value of a
+    variable of ``f``, then a variable of the denominator without a value,
+    then a pole, then a variable of the numerator without a value."""
+    values = {}
+    for name in f.variables:
+        if name in point:
+            if not isinstance(point[name], numbers.Rational):
+                raise TypeError(name)
+            values[name] = Fraction(point[name])
+
+    def poly(p):
+        total = Fraction(0)
+        for mono, c in p.monomials():
+            term = Fraction(c)
+            for name, e in zip(p.vars, mono):
+                if e:
+                    term *= values[name] ** e  # KeyError without a value
+            total += term
+        return total
+
+    d = poly(f.den)
+    if d == 0:
+        raise PoleError(point)
+    return poly(f.num) / d
+
+
+_values = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=5),
+    st.sampled_from([True, False, 0.5, 2.0]),
+)
+_points = st.fixed_dictionaries({}, optional={name: _values for name in (*NAMES, "w")})
+
+
+class TestIntegerEval:
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(ratfuns, _points)
+    def test_matches_per_term_fractions(self, f, point):
+        try:
+            expected = _reference_eval(f, point)
+        except (TypeError, KeyError, PoleError) as exc:
+            with pytest.raises(type(exc)):
+                f.eval(point)
+        else:
+            got = f.eval(point)
+            assert type(got) is Fraction
+            assert got == expected
+
+    @PROPERTY
+    @given(ratfuns, st.fixed_dictionaries({name: _values.filter(lambda v: type(v) is not float) for name in NAMES}))
+    def test_value_of_every_complete_point(self, f, point):
+        try:
+            expected = _reference_eval(f, point)
+        except PoleError:
+            with pytest.raises(PoleError):
+                f.eval(point)
+        else:
+            assert f.eval(point) == expected
+
+    def test_constants(self):
+        assert const(Q(-7, 3)).eval({}) == Q(-7, 3)
+        assert const(0).eval({"x": 0.5}) == 0
+        assert type(const(5).eval({})) is Fraction
+
+    def test_variables_absent_from_some_terms(self):
+        f = (x**3 * y - 2 * y**2 + z) / (x + 1)
+        pt = {"x": Q(-1, 2), "y": Q(3, 4), "z": 0}
+        assert f.eval(pt) == _reference_eval(f, pt)
+        assert f.eval({"x": 0, "y": -2, "z": Q(1, 3)}) == Q(-23, 3)
+
+    def test_errors(self):
+        f = x / y
+        with pytest.raises(PoleError):
+            f.eval({"x": 1, "y": 0})
+        with pytest.raises(PoleError):  # the pole is found before the missing x
+            f.eval({"y": 0})
+        with pytest.raises(KeyError, match="'x'"):
+            f.eval({"y": 1})
+        with pytest.raises(KeyError, match="'y'"):
+            f.eval({"x": 1})
+        with pytest.raises(TypeError):  # a float before the missing y
+            f.eval({"x": 0.5})
+        assert x.eval({"x": 2, "w": 0.5}) == 2  # values of other names are not read
