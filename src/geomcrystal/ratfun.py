@@ -192,21 +192,42 @@ def _remap_terms(terms: dict, old: tuple, new: tuple) -> dict:
     """Repack keys over ``old`` as keys over ``new``.  ``new`` may add
     variables (alignment) or drop variables whose exponents are all zero
     (narrowing); the degree field moves to the new top."""
-    if old == new:
+    if old == new or not terms:
         return terms
-    top_old, top_new = _WIDTH * len(old), _WIDTH * len(new)
-    moves = [
-        (top_old - _WIDTH * (i + 1), top_new - _WIDTH * (new.index(x) + 1))
-        for i, x in enumerate(old)
-        if x in new
-    ]
+    plan = _remap_plan(old, new)
     out: dict = {}
     for key, c in terms.items():
-        nk = key >> top_old << top_new
-        for src, dst in moves:
-            nk |= ((key >> src) & _MASK) << dst
+        nk = 0
+        for src, mask, dst in plan:
+            nk |= (key >> src & mask) << dst
         out[nk] = c
     return out
+
+
+def _remap_plan(old: tuple, new: tuple) -> list:
+    """(source shift, mask, destination shift) for each maximal run of
+    fields that stay adjacent from ``old`` to ``new``.  Field p counts from
+    the top: the degree field is p = 0 and the variable at index i is
+    p = i + 1, at shift _WIDTH * (len - p)."""
+    where = {x: q for q, x in enumerate(new, 1)}
+    runs = []
+    p0 = q0 = 0  # the top fields of the open run, which starts at the degree
+    length = 1
+    for p, x in enumerate(old, 1):
+        q = where.get(x)
+        if q is None:
+            continue
+        if p == p0 + length and q == q0 + length:
+            length += 1
+        else:
+            runs.append((p0, q0, length))
+            p0, q0, length = p, q, 1
+    runs.append((p0, q0, length))
+    lo, ln = len(old) + 1, len(new) + 1
+    return [
+        (_WIDTH * (lo - p - k), (1 << _WIDTH * k) - 1, _WIDTH * (ln - q - k))
+        for p, q, k in runs
+    ]
 
 
 def _support(vars: tuple, *term_dicts) -> tuple:

@@ -64,6 +64,8 @@ class MatRF:
     def __init__(self, rows: Sequence[Sequence]):
         rows = [[as_ratfun(e) for e in row] for row in rows]
         size = len(rows)
+        if not size:
+            raise ValueError("matrix must have at least one row")
         if any(len(row) != size for row in rows):
             raise ValueError("matrix must be square")
         self.size = size
@@ -163,23 +165,40 @@ class MatRF:
 
 
 def _det(rows: list) -> RatFun:
+    """Cofactor expansion along the columns in order, skipping structural
+    zeros.  Once the first d columns are expanded, the minor left depends
+    only on the rows that remain, so each distinct minor is expanded once:
+    O(m * 2**m) products."""
     m = len(rows)
-    if m == 1:
-        return rows[0][0]
-    if m == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    # expand along the first column, skipping structural zeros
-    total = None
-    for i in range(m):
-        pivot = rows[i][0]
-        if pivot.is_zero:
-            continue
-        minor = [[rows[r][c] for c in range(1, m)] for r in range(m) if r != i]
-        term = pivot * _det(minor)
-        if i % 2:
-            term = -term
-        total = term if total is None else total + term
-    return total if total is not None else RatFun.const(0)
+    memo: dict = {}
+
+    def minor(live: tuple) -> RatFun:
+        # the minor on rows ``live`` and the last len(live) columns
+        size = len(live)
+        col = m - size
+        if size == 1:
+            return rows[live[0]][col]
+        if live in memo:
+            return memo[live]
+        if size == 2:
+            (a, b), (c, d) = (rows[r][col : col + 2] for r in live)
+            out = a * d - b * c
+        else:
+            out = None
+            for pos, r in enumerate(live):
+                pivot = rows[r][col]
+                if pivot.is_zero:
+                    continue
+                term = pivot * minor(live[:pos] + live[pos + 1 :])
+                if pos % 2:
+                    term = -term
+                out = term if out is None else out + term
+            if out is None:
+                out = RatFun.const(0)
+        memo[live] = out
+        return out
+
+    return minor(tuple(range(m)))
 
 
 class TorusElem:

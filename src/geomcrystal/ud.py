@@ -22,7 +22,7 @@ import operator
 from collections.abc import Mapping
 from dataclasses import dataclass
 
-from .gyt import SharpElement
+from .gyt import SharpElement, sharp_pairs
 from .ratfun import (
     CAdd,
     CConst,
@@ -341,6 +341,11 @@ def chart_to_sharp(n: int, values: Mapping) -> SharpElement:
         if not 1 <= k <= j <= n:
             raise ValueError(f"chart index {(k, j)} out of range")
         entries[(k, j + 1)] = val
+    if type(n) is int and all(type(val) is int for val in entries.values()):
+        pairs = sharp_pairs(n)
+        if len(entries) == len(pairs):
+            # every stored pair is present and a plain int: nothing to validate
+            return SharpElement._trusted(n, {key: entries[key] for key in pairs})
     return SharpElement(n, entries)
 
 

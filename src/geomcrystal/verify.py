@@ -42,8 +42,8 @@ SUITE_CAPS = {
     "verma": 3,
     "prop43": 3,
     "axioms": 5,
-    "umorphism": 5,
-    "fi-mi": 5,
+    "umorphism": 6,
+    "fi-mi": 7,
     "positivity": 5,
     "sharp-axioms": 5,
     "ud-main": 5,

@@ -34,6 +34,11 @@ class TestVerify:
         code, out = run(capsys, "verify", "fi-mi", "--n", "4")
         assert code == 0
 
+    def test_fimi_at_its_cap(self, capsys):
+        code, out = run(capsys, "verify", "fi-mi", "--n", "7")
+        assert code == 0
+        assert "FAIL" not in out
+
     def test_json_output(self, capsys):
         code, out = run(capsys, "verify", "axioms", "--n", "1", "--json")
         assert code == 0

@@ -7,7 +7,19 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from geomcrystal.ratfun import ONE, PoleError, Poly, Q, RatFun, _decode, _encode, const, parse, var
+from geomcrystal.ratfun import (
+    ONE,
+    PoleError,
+    Poly,
+    Q,
+    RatFun,
+    _decode,
+    _encode,
+    _remap_terms,
+    const,
+    parse,
+    var,
+)
 
 x, y, z = var("x"), var("y"), var("z")
 
@@ -384,6 +396,22 @@ _terms3 = st.dictionaries(
 )
 
 
+@st.composite
+def _remap_cases(draw):
+    """(old, new) variable tuples, sorted or permuted, and terms over old:
+    each name is in both, in old only (its exponents 0), in new only, or in
+    neither, so the shared variables form interleaved or disjoint runs, and
+    new may widen or narrow old."""
+    roles = dict(zip("abcdefgh", draw(st.lists(st.sampled_from("bond"), min_size=8, max_size=8))))
+    old = tuple(x for x, r in roles.items() if r in "bo")
+    new = tuple(x for x, r in roles.items() if r in "bn")
+    if draw(st.booleans()):
+        old, new = tuple(draw(st.permutations(old))), tuple(draw(st.permutations(new)))
+    exps = st.tuples(*(st.integers(0, 5) if roles[x] == "b" else st.just(0) for x in old))
+    terms = draw(st.dictionaries(exps, st.integers(-3, 3).filter(bool), max_size=5))
+    return old, new, {_encode(e): c for e, c in terms.items()}
+
+
 class TestKeyCodec:
     """The packed keys against an oracle that never reads a key: the
     exponent vectors the polynomial was built from, in stored order."""
@@ -407,6 +435,22 @@ class TestKeyCodec:
         if grlex:
             assert p.leading_coefficient() == grlex[0][1]
             assert p.total_degree() == max(sum(e) for e in expected)
+
+    @PROPERTY
+    @given(_remap_cases())
+    @example((("a", "c"), ("a", "b", "c", "d"), {_encode((2, 1)): 3}))  # widening, interleaved
+    @example((("a", "b", "c"), ("b",), {_encode((0, 4, 0)): -1}))  # narrowing
+    @example((("a", "b"), ("c", "d"), {_encode((0, 0)): 5}))  # disjoint
+    def test_remap_matches_decode_encode(self, case):
+        old, new, terms = case
+        expected = {}
+        for key, c in terms.items():
+            degree, *exps = _decode(key, len(old) + 1)
+            by_name = dict(zip(old, exps))
+            new_key = _encode([by_name.get(x, 0) for x in new])
+            assert _decode(new_key, len(new) + 1)[0] == degree  # the degree field is kept
+            expected[new_key] = c
+        assert _remap_terms(terms, old, new) == expected
 
     @PROPERTY
     @given(st.lists(st.integers(0, 30000), max_size=4))

@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from geomcrystal.ratfun import const, var
+from geomcrystal.ratfun import RatFun, const, var
 from geomcrystal.slgroup import (
     DecompositionOutsideDomain,
     MatRF,
@@ -27,6 +29,7 @@ from geomcrystal.slgroup import (
     x_elem,
     y_elem,
 )
+from geomcrystal.slgroup import _det
 
 a, s, t, c = var("a"), var("s"), var("t"), var("c")
 
@@ -94,6 +97,74 @@ class TestGenerators:
                 lhs = coroot(i, a, n).as_matrix() * x_elem(j, t, n)
                 rhs = x_elem(j, a ** cartan_entry(i, j) * t, n) * coroot(i, a, n).as_matrix()
                 assert lhs == rhs
+
+
+def _cofactor_det(rows):
+    """Plain cofactor expansion along the first column: m! products."""
+    m = len(rows)
+    if m == 1:
+        return rows[0][0]
+    if m == 2:
+        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+    total = None
+    for i in range(m):
+        if rows[i][0].is_zero:
+            continue
+        term = rows[i][0] * _cofactor_det([row[1:] for r, row in enumerate(rows) if r != i])
+        if i % 2:
+            term = -term
+        total = term if total is None else total + term
+    return total if total is not None else const(0)
+
+
+_x, _y = var("x"), var("y")
+_ENTRIES = (
+    const(0),
+    const(0),
+    const(1),
+    const(-2),
+    const(1) / 3,
+    _x,
+    _y,
+    _x - _y,
+    1 / _x,
+    (_x + 1) / (_y - 2),
+    _x * _y / (_x + _y),
+)
+_square = st.integers(1, 5).flatmap(
+    lambda m: st.lists(
+        st.lists(st.sampled_from(_ENTRIES), min_size=m, max_size=m), min_size=m, max_size=m
+    )
+)
+
+
+class TestDeterminant:
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(_square)
+    def test_matches_plain_cofactor_expansion(self, rows):
+        got, expected = _det(rows), _cofactor_det(rows)
+        assert got == expected
+        assert str(got) == str(expected)  # the same canonical form
+
+    def test_expands_each_minor_once(self, monkeypatch):
+        m = 7
+        rows = MatRF([[var(f"x[{i},{j}]") for j in range(m)] for i in range(m)]).rows
+        products = []
+        mul = RatFun.__mul__
+
+        def counted(f, g):
+            products.append(None)
+            return mul(f, g)
+
+        monkeypatch.setattr(RatFun, "__mul__", counted)
+        det = _det(rows)
+        assert len(products) <= m * 2 ** (m - 1)
+        assert len(det.num.terms) == 5040  # one term per permutation
+        assert det.den.terms == {0: 1}
+
+    def test_empty_matrix_rejected(self):
+        with pytest.raises(ValueError):
+            MatRF([])
 
 
 class TestGauss:

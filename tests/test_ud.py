@@ -351,6 +351,40 @@ class TestChartSharpIdentification:
         with pytest.raises(TypeError):
             chart_to_sharp(1, {(1, 1): 1.5})
 
+    def test_bool_rejected(self):
+        with pytest.raises(TypeError):
+            chart_to_sharp(2, {(1, 1): 2, (1, 2): True, (2, 2): 3})
+
+    def test_missing_pairs_read_zero(self):
+        v = chart_to_sharp(2, {(1, 2): 4})
+        assert v == SharpElement(2, {(1, 3): 4})
+        assert (v.b(1, 2), v.b(1, 3), v.b(2, 3)) == (0, 4, 0)
+
+    def test_full_int_point_skips_validation(self, monkeypatch):
+        values = {(2, 2): 3, (1, 1): 2, (1, 2): -1}
+        expected = SharpElement(2, {(1, 2): 2, (1, 3): -1, (2, 3): 3})
+
+        def refuse(self, n, entries):
+            raise AssertionError("validating constructor called")
+
+        monkeypatch.setattr(SharpElement, "__init__", refuse)
+        v = chart_to_sharp(2, values)
+        assert v == expected
+        assert list(v.entries) == sharp_index_pairs(2)
+        assert all(type(val) is int for val in v.entries.values())
+
+    def test_partial_point_validates(self, monkeypatch):
+        calls = []
+        init = SharpElement.__init__
+
+        def counted(self, n, entries):
+            calls.append(dict(entries))
+            init(self, n, entries)
+
+        monkeypatch.setattr(SharpElement, "__init__", counted)
+        chart_to_sharp(2, {(1, 1): 2, (2, 2): 3})
+        assert calls == [{(1, 2): 2, (2, 3): 3}]
+
 
 class TestSerialization:
     def test_map_json(self):
