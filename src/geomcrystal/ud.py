@@ -336,17 +336,13 @@ def ud_map(components, vars: tuple | None = None) -> TropMap:
 def chart_to_sharp(n: int, values: Mapping) -> SharpElement:
     """Send the chart coordinate (k, j), 1 <= k <= j <= n, to the stored
     slot (k, j+1) of the free crystal (the index shift j -> j+1)."""
-    entries = {}
+    n = as_int(n)
+    entries = dict.fromkeys(sharp_pairs(n), 0)
     for (k, j), val in values.items():
         if not 1 <= k <= j <= n:
             raise ValueError(f"chart index {(k, j)} out of range")
-        entries[(k, j + 1)] = val
-    if type(n) is int and all(type(val) is int for val in entries.values()):
-        pairs = sharp_pairs(n)
-        if len(entries) == len(pairs):
-            # every stored pair is present and a plain int: nothing to validate
-            return SharpElement._trusted(n, {key: entries[key] for key in pairs})
-    return SharpElement(n, entries)
+        entries[(k, j + 1)] = as_int(val)
+    return SharpElement._trusted(n, entries)
 
 
 def sharp_to_chart(v: SharpElement) -> dict:

@@ -39,6 +39,11 @@ class TestVerify:
         assert code == 0
         assert "FAIL" not in out
 
+    def test_umorphism_at_its_cap(self, capsys):
+        code, out = run(capsys, "verify", "umorphism", "--n", "6")
+        assert code == 0
+        assert "FAIL" not in out
+
     def test_json_output(self, capsys):
         code, out = run(capsys, "verify", "axioms", "--n", "1", "--json")
         assert code == 0

@@ -360,30 +360,17 @@ class TestChartSharpIdentification:
         assert v == SharpElement(2, {(1, 3): 4})
         assert (v.b(1, 2), v.b(1, 3), v.b(2, 3)) == (0, 4, 0)
 
-    def test_full_int_point_skips_validation(self, monkeypatch):
-        values = {(2, 2): 3, (1, 1): 2, (1, 2): -1}
-        expected = SharpElement(2, {(1, 2): 2, (1, 3): -1, (2, 3): 3})
-
+    def test_builds_without_revalidating(self, monkeypatch):
         def refuse(self, n, entries):
             raise AssertionError("validating constructor called")
 
         monkeypatch.setattr(SharpElement, "__init__", refuse)
-        v = chart_to_sharp(2, values)
-        assert v == expected
-        assert list(v.entries) == sharp_index_pairs(2)
-        assert all(type(val) is int for val in v.entries.values())
-
-    def test_partial_point_validates(self, monkeypatch):
-        calls = []
-        init = SharpElement.__init__
-
-        def counted(self, n, entries):
-            calls.append(dict(entries))
-            init(self, n, entries)
-
-        monkeypatch.setattr(SharpElement, "__init__", counted)
-        chart_to_sharp(2, {(1, 1): 2, (2, 2): 3})
-        assert calls == [{(1, 2): 2, (2, 3): 3}]
+        full = chart_to_sharp(2, {(2, 2): 3, (1, 1): 2, (1, 2): -1})
+        partial = chart_to_sharp(2, {(2, 2): 3})
+        for v, expected in ((full, (2, -1, 3)), (partial, (0, 0, 3))):
+            assert list(v.entries) == sharp_index_pairs(2)
+            assert tuple(v.entries.values()) == expected
+            assert all(type(val) is int for val in v.entries.values())
 
 
 class TestSerialization:
