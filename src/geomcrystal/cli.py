@@ -163,6 +163,9 @@ def cmd_trop(args) -> int:
     except json.JSONDecodeError as exc:
         _print(f"error: --point must be a JSON object ({exc})")
         return 2
+    if not isinstance(point, dict):
+        _print("error: --point must be a JSON object")
+        return 2
     if args.expr_file:
         with open(args.expr_file, "r", encoding="utf-8") as handle:
             f = parse_ratfun(handle.read().strip())

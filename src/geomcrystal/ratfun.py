@@ -256,16 +256,26 @@ class Poly:
         self.terms = {k: c for k, c in terms.items() if c != 0}
         self._deg = max(self.terms) >> (_WIDTH * len(self.vars)) if self.terms else -1
 
+    @classmethod
+    def _trusted(cls, vars: tuple, terms: dict) -> "Poly":
+        """Wrap ``terms`` without copying: the internal producers hand over
+        a dict with no zero coefficient that no one mutates afterwards."""
+        self = object.__new__(cls)
+        self.vars = vars
+        self.terms = terms
+        self._deg = max(terms) >> (_WIDTH * len(vars)) if terms else -1
+        return self
+
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def const(cls, value: int, vars: tuple = ()) -> "Poly":
         value = operator.index(value)
-        return cls(vars, {0: value} if value else {})
+        return cls._trusted(tuple(vars), {0: value} if value else {})
 
     @classmethod
     def variable(cls, name: str) -> "Poly":
-        return cls((name,), {_encode((1,)): 1})
+        return cls._trusted((name,), {_encode((1,)): 1})
 
     # -- predicates ---------------------------------------------------------
 
@@ -292,7 +302,7 @@ class Poly:
     def _combine(self, other: "Poly", negate: bool) -> "Poly":
         vars, a, b = self._aligned(other)
         pairs = ((k, -c) for k, c in b.items()) if negate else b.items()
-        return Poly(vars, _add_into(dict(a), pairs))
+        return Poly._trusted(vars, _add_into(dict(a), pairs))
 
     def __add__(self, other: "Poly") -> "Poly":
         return self._combine(other, negate=False)
@@ -301,7 +311,7 @@ class Poly:
         return self._combine(other, negate=True)
 
     def __neg__(self) -> "Poly":
-        return Poly(self.vars, {k: -c for k, c in self.terms.items()})
+        return Poly._trusted(self.vars, {k: -c for k, c in self.terms.items()})
 
     def __mul__(self, other: "Poly") -> "Poly":
         vars, a, b = self._aligned(other)
@@ -311,7 +321,7 @@ class Poly:
             a, b = b, a
         out: dict = {}
         _mul_into(out, a, b, negate=False)
-        return Poly(vars, out)
+        return Poly._trusted(vars, out)
 
     def __pow__(self, k: int) -> "Poly":
         if k < 0:
@@ -456,7 +466,7 @@ class RatFun:
         if den.is_zero:
             raise ZeroDivisionError("division by the zero rational function")
         if num.is_zero:
-            self.num = Poly((), {})
+            self.num = Poly._trusted((), {})
             self.den = Poly.const(1)
             self.cert = None
             return
@@ -471,8 +481,8 @@ class RatFun:
         if content != 1:
             nt = {m: c // content for m, c in nt.items()}
             dt = {m: c // content for m, c in dt.items()}
-        self.num = Poly(vars, nt)
-        self.den = Poly(vars, dt)
+        self.num = Poly._trusted(vars, nt)
+        self.den = Poly._trusted(vars, dt)
         self.cert = cert
         if cert is not None and not (self.num.all_positive() and self.den.all_positive()):
             raise ValueError("positivity certificate on a value with negative coefficients")

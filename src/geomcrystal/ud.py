@@ -130,10 +130,13 @@ class TropExpr:
         """Evaluate at each point of a batch (each as in :meth:`eval`);
         returns a list of ints in point order.
 
-        Each point is coerced once, then the tree is walked once for the
+        The batch is coerced once, then the tree is walked once for the
         whole batch: every node becomes a column over all points, streamed
         through ``map`` so no intermediate column is kept."""
-        rows = [_coerce_point(point, self.vars) for point in points]
+        points = list(points)
+        rows = _int_rows(points, self.vars)
+        if rows is None:
+            rows = [_coerce_point(point, self.vars) for point in points]
         if not rows:
             return []
         return list(_column(self.root, list(zip(*rows)), len(rows)))
@@ -153,6 +156,20 @@ class TropExpr:
 
 
 _INT = frozenset((int,))
+_ROW = frozenset((tuple, list))
+
+
+def _int_rows(points: list, vars: tuple):
+    """The batch as rows of plain ints aligned with ``vars``, or None when
+    some point needs :func:`_coerce_point`.  One pass turns mapping points
+    into rows; one type scan checks every value at once."""
+    if not _ROW.issuperset(map(type, points)):
+        points = [tuple(map(p.get, vars)) if isinstance(p, Mapping) else p for p in points]
+        if not _ROW.issuperset(map(type, points)):
+            return None
+    if _INT.issuperset(map(type, itertools.chain.from_iterable(points))) and set(map(len, points)) <= {len(vars)}:
+        return points
+    return None
 
 
 def _coerce_point(point, vars: tuple) -> list:
@@ -162,9 +179,7 @@ def _coerce_point(point, vars: tuple) -> list:
         values = list(point)
         if len(values) != len(vars):
             raise ValueError(f"point has {len(values)} coordinates, expression has {len(vars)}")
-    if not _INT.issuperset(map(type, values)):  # only plain ints skip the per-value check
-        values = [as_int(x) for x in values]
-    return values
+    return [as_int(x) for x in values]
 
 
 def _column(node, columns: list, count: int):
@@ -246,32 +261,31 @@ def degree_oracle(f: RatFun, point) -> int:
 
 def degree_oracle_many(f: RatFun, vars: tuple, points) -> list:
     """:func:`degree_oracle` at each point of a batch, each point an integer
-    vector aligned with ``vars``; variables of ``f`` outside ``vars`` count
-    as 0.
+    vector aligned with ``vars`` (or a mapping); variables of ``f`` outside
+    ``vars`` count as 0.
 
-    The exponent vectors of the expanded num and den are decoded once.  At
-    each point every term goes to its weighted degree, coefficients with
-    equal degree are summed (the Laurent collapse), and the degree is the
-    largest degree with a nonzero sum in num minus that in den.  This is
+    The exponent vectors of the expanded num and den are decoded once, and
+    each term becomes a column of its weighted degree over the batch.  The
+    degree is the largest degree whose coefficients do not sum to zero (the
+    Laurent collapse) in num minus that in den.  This is
     ``f.subst_monomial(point).degree()`` for any input, certified or not,
-    since normalization cancels no common factor.  Raises
+    since normalization cancels no common factor.  A polynomial whose
+    coefficients are all positive cannot cancel, so its top degree is the
+    column max; otherwise each point is collapsed.  Raises
     ``ZeroDivisionError`` where the denominator collapses to zero and
-    ``ValueError`` where the numerator does.
+    ``ValueError`` where the numerator does; the first faulty point in
+    batch order decides.
     """
     vars = tuple(vars)
     num = _weighted_terms(f.num, vars)
     den = _weighted_terms(f.den, vars)
-    out = []
-    for point in points:
-        values = _coerce_point(point, vars)
-        low = _top_degree(den, values)
-        if low is None:
-            raise ZeroDivisionError("monomial substitution annihilates the denominator")
-        high = _top_degree(num, values)
-        if high is None:
-            raise ValueError("degree of the zero rational function")
-        out.append(high - low)
-    return out
+    points = list(points)
+    rows = _int_rows(points, vars)
+    if rows is None:
+        # point by point, so an earlier point's collapse raises before a
+        # later point's coercion error
+        return [_degrees(num, den, [_coerce_point(point, vars)])[0] for point in points]
+    return _degrees(num, den, rows)
 
 
 def _weighted_terms(poly, vars: tuple) -> list:
@@ -283,12 +297,49 @@ def _weighted_terms(poly, vars: tuple) -> list:
     ]
 
 
-def _top_degree(terms: list, values: list):
-    """Largest weighted degree whose collapsed coefficient is nonzero, or
-    None when every degree cancels."""
+def _degrees(num: list, den: list, rows: list) -> list:
+    """The degree at each row of plain ints; the first row where den or
+    num collapses raises, den first."""
+    if not rows:
+        return []
+    columns = list(zip(*rows))
+    low = _top_degrees(den, columns, len(rows))
+    high = _top_degrees(num, columns, len(rows))
+    if None in low or None in high:
+        for a, b in zip(low, high):
+            if a is None:
+                raise ZeroDivisionError("monomial substitution annihilates the denominator")
+            if b is None:
+                raise ValueError("degree of the zero rational function")
+    return list(map(operator.sub, high, low))
+
+
+def _top_degrees(terms: list, columns: list, count: int) -> list:
+    """At each point, the largest weighted degree whose collapsed
+    coefficient is nonzero, or None when every degree cancels."""
+    if not terms:
+        return [None] * count
+    degrees = [_degree_column(exps, columns, count) for exps, _ in terms]
+    if all(c > 0 for _, c in terms):
+        return list(map(max, *degrees)) if len(degrees) > 1 else list(degrees[0])
+    coeffs = [c for _, c in terms]
+    return [_collapse(point, coeffs) for point in zip(*degrees)]
+
+
+def _degree_column(exps: tuple, columns: list, count: int):
+    """Iterator over the weighted degree of one term at each point."""
+    if not exps:
+        return itertools.repeat(0, count)
+    total = None
+    for i, e in exps:
+        part = columns[i] if e == 1 else map(operator.mul, columns[i], itertools.repeat(e))
+        total = iter(part) if total is None else map(operator.add, total, part)
+    return total
+
+
+def _collapse(degrees: tuple, coeffs: list):
     sums = {}
-    for exps, c in terms:
-        d = sum(values[i] * e for i, e in exps)
+    for d, c in zip(degrees, coeffs):
         sums[d] = sums.get(d, 0) + c
     return max((d for d, s in sums.items() if s), default=None)
 

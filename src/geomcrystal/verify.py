@@ -423,8 +423,10 @@ def udmain_reports(n: int, seed: int = DEFAULT_SEED) -> list:
         for name, expr, f, vars, pts in formulas:
             trop = expr.eval_many(pts)
             oracle = ud.degree_oracle_many(f, vars, pts)
-            bad = next((j for j, (a, b) in enumerate(zip(trop, oracle)) if a != b), None)
-            if bad is not None and (first is None or bad < first[0]):
+            if trop == oracle:
+                continue
+            bad = next(j for j, (a, b) in enumerate(zip(trop, oracle)) if a != b)
+            if first is None or bad < first[0]:
                 first = (bad, name)
         if first is None:
             return True, None

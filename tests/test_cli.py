@@ -249,6 +249,12 @@ class TestTrop:
         assert code == 2
         assert "error" in out
 
+    @pytest.mark.parametrize("point", ['[1, 2]', '"A[1,1]"', '3'], ids=["list", "string", "number"])
+    def test_point_not_an_object(self, capsys, point):
+        code, out = run(capsys, "trop", "--formula", "gammaA", "--n", "1", "--point", point)
+        assert code == 2
+        assert out == "error: --point must be a JSON object\n"
+
     def test_missing_coordinate(self, capsys):
         code, out = run(
             capsys,

@@ -186,6 +186,116 @@ class TestBatchOracle:
         ]
 
 
+_KEYS = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2))
+_TERMS = {
+    # every coefficient positive: the column-max path
+    "positive": st.dictionaries(_KEYS, st.integers(1, 3), min_size=1, max_size=4),
+    # at least one negative coefficient: the per-point collapse
+    "mixed": st.dictionaries(_KEYS, st.integers(-2, 2).filter(bool), min_size=2, max_size=4).filter(
+        lambda d: min(d.values()) < 0 < max(d.values())
+    ),
+    "constant": st.dictionaries(st.just((0, 0, 0)), st.integers(-3, 3), max_size=1),
+}
+_ORDERS = [("x", "y", "z"), ("z", "x"), ()]
+
+
+def _subst_outcomes(f, vars, pts):
+    """(degrees, error): the degree at each point by monomial substitution
+    up to the first point that raises, and that point's exception type
+    (None when no point raises)."""
+    out = []
+    for pt in pts:
+        got = _oracle_outcome(lambda: f.subst_monomial(dict(zip(vars, pt))).degree())
+        if isinstance(got, type):
+            return out, got
+        out.append(got)
+    return out, None
+
+
+class TestColumnarOracle:
+    """degree_oracle_many over whole batches against subst_monomial, on
+    each kind of num and den."""
+
+    @pytest.mark.parametrize("den_kind", sorted(_TERMS))
+    @pytest.mark.parametrize("num_kind", sorted(_TERMS))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_batch_matches_subst_monomial(self, num_kind, den_kind, data):
+        den = _int_poly(data.draw(_TERMS[den_kind]))
+        assume(not den.is_zero)
+        f = _int_poly(data.draw(_TERMS[num_kind])) / den
+        vars = data.draw(st.sampled_from(_ORDERS))
+        pts = data.draw(st.lists(st.tuples(*[st.integers(-2, 2)] * len(vars)), max_size=8))
+        degrees, error = _subst_outcomes(f, vars, pts)
+        for batch in (pts, [dict(zip(vars, pt)) for pt in pts]):
+            if error is None:
+                assert degree_oracle_many(f, vars, batch) == degrees, (str(f), vars)
+            else:
+                with pytest.raises(error):
+                    degree_oracle_many(f, vars, batch)
+
+    def test_positive_path_is_the_column_max(self):
+        f = (x**2 * y + const(3) * z3 + x) / (y + const(2))
+        assert f.num.all_positive() and f.den.all_positive()
+        pts = list(itertools.product(range(-3, 4), repeat=3))
+        expected = [f.subst_monomial(dict(zip("xyz", pt))).degree() for pt in pts]
+        assert degree_oracle_many(f, ("x", "y", "z"), pts) == expected
+
+    def test_empty_batches(self):
+        for f in (x + y, x - y, const(5), const(0)):
+            assert degree_oracle_many(f, ("x", "y"), []) == []
+            assert degree_oracle_many(f, (), iter([])) == []
+
+    def test_no_variables(self):
+        assert degree_oracle_many((x + y) / (z3 + const(1)), (), [(), ()]) == [0, 0]
+        with pytest.raises(ValueError):
+            degree_oracle_many(const(0), (), [()])
+
+    def test_mapping_points(self):
+        f = (x - y + z3) / (x + y)
+        pts = list(itertools.product(range(-2, 3), repeat=3))
+        maps = [{"z": c, "y": b, "x": a, "w": 9} for a, b, c in pts]  # any key order; extra keys ignored
+        assert degree_oracle_many(f, ("x", "y", "z"), maps) == degree_oracle_many(f, ("x", "y", "z"), pts)
+        mixed = [pts[0], maps[1], list(pts[2])]
+        assert degree_oracle_many(f, ("x", "y", "z"), mixed) == degree_oracle_many(f, ("x", "y", "z"), pts[:3])
+        with pytest.raises(KeyError):
+            degree_oracle_many(f, ("x", "y", "z"), [maps[0], {"x": 1, "y": 2}])
+
+    @pytest.mark.parametrize(
+        "batch, error, at",
+        [
+            # num (x - y) collapses where x == y, den (x - z) where x == z
+            ([(0, 1, 2), (1, 1, 2), (1, True, 0)], ValueError, 1),
+            ([(0, 1, 2), (1, 2, True), (1, 1, 2)], TypeError, 1),
+            ([(0, 1, 2), (2, 0, 2), (1, 2.0, 0)], ZeroDivisionError, 1),
+            ([(0, 1, 2), (1, 2), (2, 2, 0)], ValueError, 1),
+            ([(0, 1, 2), (2, 2, 0), (1, 2)], ValueError, 1),
+            ([(0, 1, 2), {"x": 1, "y": 2}, (1, 1, 1)], KeyError, 1),
+            ([(1, 1, 1), (0, 1, 2)], ZeroDivisionError, 0),
+            ([(2, 0, 2), (1, 1, 0)], ZeroDivisionError, 0),
+            ([(1, 1, 0), (2, 0, 2)], ValueError, 0),
+            ([(1, 1, 0), (1, 2, 2.5)], ValueError, 0),
+            ([(1, 2, 2.5), (1, 1, 0)], TypeError, 0),
+            ([(0, 1, 2), (0, 1, 2, 3)], ValueError, 1),
+            ([(0, 1, 2), 7], TypeError, 1),
+        ],
+    )
+    def test_first_faulty_point_decides(self, batch, error, at):
+        """A faulty batch raises what its first faulty point raises alone:
+        at one point, a coercion error, then the denominator's collapse,
+        then the numerator's."""
+        f = (x - y) / (x - z3)
+        vars = ("x", "y", "z")
+        with pytest.raises(error) as single:
+            degree_oracle_many(f, vars, [batch[at]])
+        with pytest.raises(error) as whole:
+            degree_oracle_many(f, vars, batch)
+        assert str(whole.value) == str(single.value)
+        assert degree_oracle_many(f, vars, batch[:at]) == [
+            f.subst_monomial(dict(zip(vars, pt))).degree() for pt in batch[:at]
+        ]
+
+
 def _reference_eval(node, values):
     if isinstance(node, TVar):
         return values[node.index]
@@ -411,6 +521,15 @@ def _shifted(j):
     return lambda root: TSum((root, TVar(j)))
 
 
+def _assert_sound_on_grid(radius):
+    """trop equals the degree oracle for every ud-main formula at n=3 on
+    every point of [-radius, radius]^7."""
+    grid = list(itertools.product(range(-radius, radius + 1), repeat=7))
+    for name, f, vars in _udmain_formulas(3):
+        pts = [pt[: len(vars)] for pt in grid]
+        assert tropicalize(f, vars).eval_many(pts) == degree_oracle_many(f, vars, pts), name
+
+
 class TestUdMainLattice:
     def test_batch_oracle_matches_subst_monomial(self):
         points = verify._lattice_points(3, verify.DEFAULT_SEED)
@@ -421,10 +540,11 @@ class TestUdMainLattice:
 
     def test_exhaustive_unit_grid(self):
         """Soundness on all 3^7 points of [-1,1]^7 at n=3: every sign pattern."""
-        grid = list(itertools.product(range(-1, 2), repeat=7))
-        for name, f, vars in _udmain_formulas(3):
-            pts = [pt[: len(vars)] for pt in grid]
-            assert tropicalize(f, vars).eval_many(pts) == degree_oracle_many(f, vars, pts), name
+        _assert_sound_on_grid(1)
+
+    def test_exhaustive_radius_two_grid(self):
+        """Soundness on all 5^7 = 78,125 points of [-2,2]^7 at n=3."""
+        _assert_sound_on_grid(2)
 
     @pytest.mark.parametrize(
         "faults",
