@@ -258,8 +258,10 @@ class Poly:
 
     @classmethod
     def _trusted(cls, vars: tuple, terms: dict) -> "Poly":
-        """Wrap ``terms`` without copying: the internal producers hand over
-        a dict with no zero coefficient that no one mutates afterwards."""
+        """Wrap ``terms`` without the zero-filtering copy.  The caller hands
+        over a dict with no zero coefficient; it may be shared with another
+        Poly (``RatFun`` normalization can pass an input's own dict through
+        unchanged), so it must never be mutated."""
         self = object.__new__(cls)
         self.vars = vars
         self.terms = terms

@@ -160,14 +160,14 @@ _ROW = frozenset((tuple, list))
 
 
 def _int_rows(points: list, vars: tuple):
-    """The batch as rows of plain ints aligned with ``vars``, or None when
-    some point needs :func:`_coerce_point`.  One pass turns mapping points
-    into rows; one type scan checks every value at once."""
-    if not _ROW.issuperset(map(type, points)):
-        points = [tuple(map(p.get, vars)) if isinstance(p, Mapping) else p for p in points]
-        if not _ROW.issuperset(map(type, points)):
-            return None
-    if _INT.issuperset(map(type, itertools.chain.from_iterable(points))) and set(map(len, points)) <= {len(vars)}:
+    """The batch itself when every point is a tuple or list of plain ints
+    aligned with ``vars`` (one type scan over every value), else None: then
+    each point goes through :func:`_coerce_point`."""
+    if (
+        _ROW.issuperset(map(type, points))
+        and _INT.issuperset(map(type, itertools.chain.from_iterable(points)))
+        and set(map(len, points)) <= {len(vars)}
+    ):
         return points
     return None
 
@@ -261,8 +261,8 @@ def degree_oracle(f: RatFun, point) -> int:
 
 def degree_oracle_many(f: RatFun, vars: tuple, points) -> list:
     """:func:`degree_oracle` at each point of a batch, each point an integer
-    vector aligned with ``vars`` (or a mapping); variables of ``f`` outside
-    ``vars`` count as 0.
+    vector aligned with ``vars`` or a mapping {name: int}; variables of
+    ``f`` outside ``vars`` count as 0.
 
     The exponent vectors of the expanded num and den are decoded once, and
     each term becomes a column of its weighted degree over the batch.  The
@@ -277,8 +277,8 @@ def degree_oracle_many(f: RatFun, vars: tuple, points) -> list:
     batch order decides.
     """
     vars = tuple(vars)
-    num = _weighted_terms(f.num, vars)
-    den = _weighted_terms(f.den, vars)
+    num = (_weighted_terms(f.num, vars), f.num.all_positive())
+    den = (_weighted_terms(f.den, vars), f.den.all_positive())
     points = list(points)
     rows = _int_rows(points, vars)
     if rows is None:
@@ -297,14 +297,15 @@ def _weighted_terms(poly, vars: tuple) -> list:
     ]
 
 
-def _degrees(num: list, den: list, rows: list) -> list:
-    """The degree at each row of plain ints; the first row where den or
+def _degrees(num: tuple, den: tuple, rows: list) -> list:
+    """The degree at each row of plain ints, with num and den each given as
+    (weighted terms, all coefficients positive); the first row where den or
     num collapses raises, den first."""
     if not rows:
         return []
     columns = list(zip(*rows))
-    low = _top_degrees(den, columns, len(rows))
-    high = _top_degrees(num, columns, len(rows))
+    low = _top_degrees(*den, columns, len(rows))
+    high = _top_degrees(*num, columns, len(rows))
     if None in low or None in high:
         for a, b in zip(low, high):
             if a is None:
@@ -314,13 +315,14 @@ def _degrees(num: list, den: list, rows: list) -> list:
     return list(map(operator.sub, high, low))
 
 
-def _top_degrees(terms: list, columns: list, count: int) -> list:
+def _top_degrees(terms: list, positive: bool, columns: list, count: int) -> list:
     """At each point, the largest weighted degree whose collapsed
-    coefficient is nonzero, or None when every degree cancels."""
+    coefficient is nonzero, or None when every degree cancels; with
+    ``positive`` (no negative coefficient) nothing cancels."""
     if not terms:
         return [None] * count
     degrees = [_degree_column(exps, columns, count) for exps, _ in terms]
-    if all(c > 0 for _, c in terms):
+    if positive:
         return list(map(max, *degrees)) if len(degrees) > 1 else list(degrees[0])
     coeffs = [c for _, c in terms]
     return [_collapse(point, coeffs) for point in zip(*degrees)]

@@ -356,6 +356,18 @@ class TestIntegerCore:
         with pytest.raises(TypeError):
             Poly.const(Fraction(1, 2))
 
+    def test_shared_terms_never_mutated(self):
+        # num and den over the same variables, with no monomial content and
+        # no common integer factor: normalization keeps their terms dicts
+        p = Poly(("x", "y"), {_encode((1, 0)): 2, _encode((0, 1)): 3})
+        q = Poly(("x", "y"), {_encode((1, 1)): 1, 0: 5})
+        p_terms, q_terms = dict(p.terms), dict(q.terms)
+        f = RatFun(p, q)
+        results = [f + f, f - f, f * f, f / f, -f, f**2, p + q, p - p, p * q, -p]
+        results += [f.subst_monomial({"x": 1, "y": 2}), f.eval({"x": 1, "y": 2})]
+        assert p.terms == p_terms and q.terms == q_terms
+        assert f.num.terms == p_terms and f.den.terms == q_terms
+
 
 _terms = st.dictionaries(
     st.tuples(st.integers(0, 2), st.integers(0, 2)), st.integers(-3, 3), max_size=4
