@@ -61,8 +61,7 @@ def cmd_act(args) -> int:
     out_path = args.out or args.state
     if args.kind == "sharp":
         if "B" not in data:
-            _print("error: state file is not a sharp element (no 'B' field)")
-            return 2
+            raise ValueError("state file is not a sharp element (no 'B' field)")
         v = gyt.SharpElement.from_json(data)
         try:
             z = int(args.param)
@@ -78,11 +77,7 @@ def cmd_act(args) -> int:
     if alpha.variables or not alpha.eval({}) > 0:
         # the action keeps the positive chart only for positive parameters
         raise ValueError(f"{args.kind} needs a positive rational --param, got {args.param!r}")
-    try:
-        moved = point.act(args.i, alpha)
-    except ZeroDivisionError as exc:
-        _print(f"error: action undefined at this point ({exc})")
-        return 2
+    moved = point.act(args.i, alpha)
     _save_state(out_path, moved.to_json())
     _print(f"chart-{point.chart} point: direction {args.i}, parameter {args.param} -> {out_path}")
     return 0
@@ -97,12 +92,8 @@ def _node_name(v: gyt.SharpElement) -> str:
 
 
 def cmd_graph(args) -> int:
-    if args.radius < 0:
-        _print("error: radius must be nonnegative")
-        return 2
     if args.radius > args.max_radius:
-        _print(f"error: radius {args.radius} exceeds the cap {args.max_radius}")
-        return 2
+        raise ValueError(f"radius {args.radius} exceeds the cap {args.max_radius}")
     root = gyt.SharpElement.from_json(_load_state(args.root))
     sl = gyt.GraphSlice(root, args.radius)
     ids = {v: f"v{idx}" for idx, v in enumerate(sl.nodes)}
@@ -154,30 +145,24 @@ def _named_formula(args):
             [(f"{k},{j}", image.coords[(k, j)]) for (k, j) in charts.index_pairs(n)],
             charts.coordinate_names(n, source.chart),
         )
-    raise ValueError(f"unknown formula {args.formula!r}")
 
 
 def cmd_trop(args) -> int:
+    if not args.formula and not args.expr_file:
+        raise ValueError("trop needs --formula or --expr-file")
     try:
         point = json.loads(args.point)
     except json.JSONDecodeError as exc:
-        _print(f"error: --point must be a JSON object ({exc})")
-        return 2
+        raise ValueError(f"--point must be a JSON object ({exc})") from None
     if not isinstance(point, dict):
-        _print("error: --point must be a JSON object")
-        return 2
+        raise ValueError("--point must be a JSON object")
     if args.expr_file:
         with open(args.expr_file, "r", encoding="utf-8") as handle:
             f = parse_ratfun(handle.read().strip())
-        components = [("expr", f)]
-        order = None
+        components, order = [("expr", f)], None
     else:
         components, order = _named_formula(args)
     tmap = ud.ud_map(components, vars=order)
-    missing = [v for v in tmap.vars if v not in point]
-    if missing:
-        _print(f"error: point misses coordinates {missing}")
-        return 2
     values = tmap.eval(point)
     if args.json:
         _print(json.dumps({name: val for name, val in zip(tmap.names, values)}))
@@ -250,16 +235,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "trop" and not args.formula and not args.expr_file:
-        _print("error: trop needs --formula or --expr-file")
-        return 2
     try:
         return args.func(args)
     except (OSError, ValueError, TypeError, LookupError, ArithmeticError, RecursionError) as exc:
-        # bad input: unreadable files, malformed or inexact values, indices
-        # out of range, partial maps undefined at the given point, and
-        # input nested deeper than the recursive parser or certificate walk
-        # can follow (RecursionError; no file has been written by then)
+        # the one place that reports bad input: unreadable files, malformed
+        # or inexact values, indices out of range, partial maps undefined at
+        # the given point, and input nested deeper than the recursive parser
+        # or certificate walk can follow (no file has been written by then)
         _print(f"error: {exc}")
         return 2
 

@@ -102,13 +102,7 @@ class MatRF:
     def __eq__(self, other) -> bool:
         if not isinstance(other, MatRF):
             return NotImplemented
-        if self.size != other.size:
-            return False
-        return all(
-            self.rows[i][j] == other.rows[i][j]
-            for i in range(self.size)
-            for j in range(self.size)
-        )
+        return self.size == other.size and self.first_difference(other) is None
 
     __hash__ = None
 
@@ -407,6 +401,13 @@ def borel_embed(u: MatRF) -> MatRF:
     return u * torus_weight(u).as_matrix()
 
 
+def _nonzero_phi(i: int, u: MatRF) -> RatFun:
+    p = phi(i, u)
+    if p.is_zero:
+        raise PhiVanishes(f"phi_{i} vanishes identically on this element")
+    return p
+
+
 def crystal_act(i: int, c, u: MatRF) -> MatRF:
     """One-parameter crystal action on a lower unitriangular element.
 
@@ -416,11 +417,8 @@ def crystal_act(i: int, c, u: MatRF) -> MatRF:
     x_i((c-1)/phi) * u (see :func:`crystal_act_gauss`).
     """
     n = u.rank
-    _check_index(i, n)
+    p = _nonzero_phi(i, u)
     c = as_ratfun(c)
-    p = phi(i, u)
-    if p.is_zero:
-        raise PhiVanishes(f"phi_{i} vanishes identically on this element")
     t1 = (c - 1) / p
     t2 = (1 - c) / (c * p)
     return x_elem(i, t1, n) * u * x_elem(i, t2, n) * coroot(i, c, n).inverse().as_matrix()
@@ -430,11 +428,8 @@ def crystal_act_gauss(i: int, c, u: MatRF) -> MatRF:
     """The same action from first principles: the lower unitriangular
     factor of the Gauss decomposition of x_i((c-1)/phi(u)) * u."""
     n = u.rank
-    _check_index(i, n)
+    p = _nonzero_phi(i, u)
     c = as_ratfun(c)
-    p = phi(i, u)
-    if p.is_zero:
-        raise PhiVanishes(f"phi_{i} vanishes identically on this element")
     t1 = (c - 1) / p
     return gauss_decompose(x_elem(i, t1, n) * u).lower
 

@@ -174,6 +174,9 @@ def _int_rows(points: list, vars: tuple):
 
 def _coerce_point(point, vars: tuple) -> list:
     if isinstance(point, Mapping):
+        missing = [name for name in vars if name not in point]
+        if missing:
+            raise ValueError(f"point misses coordinates {missing}")
         values = [point[name] for name in vars]
     else:
         values = list(point)
@@ -357,8 +360,7 @@ class TropMap:
         self.components = tuple(components)
 
     def eval(self, point) -> tuple:
-        if not isinstance(point, Mapping):
-            point = dict(zip(self.vars, point))
+        """Every component at one point over :attr:`vars`, which they all share."""
         return tuple(e.eval(point) for e in self.components)
 
     def to_json(self) -> dict:

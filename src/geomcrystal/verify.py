@@ -26,18 +26,6 @@ from .ratfun import Q, RatFun, var
 
 DEFAULT_SEED = 31001
 
-SUITE_NAMES = (
-    "verma",
-    "axioms",
-    "umorphism",
-    "fi-mi",
-    "prop43",
-    "positivity",
-    "sharp-axioms",
-    "ud-main",
-    "all",
-)
-
 SUITE_CAPS = {
     "verma": 3,
     "prop43": 3,
@@ -90,6 +78,12 @@ def _from_identity(n: int, thunk) -> VerifyReport:
     elapsed = time.perf_counter() - start
     witness = None if rep.holds else {"witness": rep.witness or ""}
     return VerifyReport(rep.identity, n, rep.holds, elapsed, witness)
+
+
+def _matrix_verdict(lhs, rhs) -> tuple:
+    """(holds, witness) of lhs == rhs; the witness entry is 1-based, as in ``slgroup``."""
+    diff = lhs.first_difference(rhs)
+    return diff is None, None if diff is None else {"entry": [diff[0] + 1, diff[1] + 1]}
 
 
 # ---------------------------------------------------------------------------
@@ -150,9 +144,7 @@ def axiom_reports(n: int) -> list:
 
         def one_parameter(i=i):
             lhs = slgroup.crystal_act(i, c2, slgroup.crystal_act(i, c1, u))
-            rhs = slgroup.crystal_act(i, c1 * c2, u)
-            diff = lhs.first_difference(rhs)
-            return diff is None, None if diff is None else {"entry": diff[:2]}
+            return _matrix_verdict(lhs, slgroup.crystal_act(i, c1 * c2, u))
 
         out.append(_timed(f"unit action e^1=id (i={i}) at n={n}", n, unit))
         out.append(_timed(f"weight equivariance (i={i}) at n={n}", n, equivariance))
@@ -204,10 +196,7 @@ def prop43_reports(n: int) -> list:
     u = p.to_matrix()
     for i in range(1, n + 1):
         def closed_vs_gauss(i=i):
-            lhs = p.act(i, al).to_matrix()
-            rhs = slgroup.crystal_act_gauss(i, al, u)
-            diff = lhs.first_difference(rhs)
-            return diff is None, None if diff is None else {"entry": diff[:2]}
+            return _matrix_verdict(p.act(i, al).to_matrix(), slgroup.crystal_act_gauss(i, al, u))
 
         out.append(_timed(f"chart closed form vs gauss action (i={i}) at n={n}", n, closed_vs_gauss))
     return out
@@ -486,3 +475,4 @@ _SUITE_FUNCS = {
     + oracle_reports(n, seed, cases=125 if n <= 4 else 50),
     "ud-main": lambda n, seed: udmain_reports(n, seed),
 }
+SUITE_NAMES = (*_SUITE_FUNCS, "all")

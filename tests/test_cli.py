@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -138,6 +142,7 @@ class TestAct:
         code, out = run(capsys, *(arg.format(state=path) for arg in argv))
         assert code == 2
         assert out.startswith("error: ")
+        assert out.count("\n") == 1 and out.endswith("\n")
         assert (path.read_text() if path.exists() else None) == before
 
 
@@ -155,7 +160,43 @@ BAD_STATES = {
     "nested-chart": json.dumps(
         {"n": 1, "chart": "A", "coords": {"1,1": "(" * 300 + "6" + ")" * 300}}
     ),
+    "expr": "(x + y) / z\n",
 }
+
+
+class TestErrorMessages:
+    """Exact output of bad inputs that each subcommand rejects."""
+
+    @pytest.mark.parametrize(
+        "state, argv, expected",
+        [
+            ("chart", ["act", "sharp", "{state}", "--i", "1", "--param", "1"],
+             "error: state file is not a sharp element (no 'B' field)"),
+            ("sharp", ["graph", "{state}", "--radius", "-1", "--out", "{state}.dot"],
+             "error: radius must be nonnegative"),
+            (None, ["trop", "--formula", "gammaA", "--n", "1", "--point", "{{bad"],
+             "error: --point must be a JSON object (Expecting property name enclosed in "
+             "double quotes: line 1 column 2 (char 1))"),
+            (None, ["trop", "--point", '{{"x": 1}}'], "error: trop needs --formula or --expr-file"),
+            (None, ["trop", "--formula", "alpha_ik", "--n", "2", "--i", "2", "--point", "{{}}"],
+             "error: alpha_ik needs --i and --k"),
+            ("expr", ["trop", "--expr-file", "{state}", "--point", '{{"x": 2}}'],
+             "error: point misses coordinates ['y', 'z']"),
+        ],
+        ids=[
+            "act-sharp-on-chart-state", "graph-negative-radius", "trop-point-not-json",
+            "trop-without-formula", "trop-alpha-without-k", "trop-missing-coordinates",
+        ],
+    )
+    def test_error_message(self, tmp_path, capsys, state, argv, expected):
+        path = tmp_path / "state.json"
+        if state is not None:
+            path.write_text(BAD_STATES[state])
+        before = path.read_text() if path.exists() else None
+        code, out = run(capsys, *(arg.format(state=path) for arg in argv))
+        assert (code, out) == (2, expected + "\n")
+        assert (path.read_text() if path.exists() else None) == before
+        assert not (tmp_path / "state.json.dot").exists()
 
 
 class TestGraph:
@@ -263,3 +304,28 @@ class TestTrop:
         )
         assert code == 2
         assert "misses" in out
+
+
+class TestProcess:
+    """The module run as a program: ``python -m geomcrystal.cli``."""
+
+    SRC = Path(__file__).resolve().parent.parent / "src"
+
+    def _run(self, *argv):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(self.SRC), env.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, "-m", "geomcrystal.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+
+    def test_bad_input_exits_two(self):
+        proc = self._run("trop", "--formula", "gammaA", "--n", "1", "--point", "{bad")
+        assert proc.returncode == 2
+        assert proc.stdout.startswith("error: ") and proc.stdout.count("\n") == 1
+        assert proc.stderr == ""
+
+    def test_holding_suite_exits_zero(self):
+        proc = self._run("verify", "verma", "--n", "2")
+        assert proc.returncode == 0
+        assert "2/2 checks hold" in proc.stdout

@@ -258,7 +258,7 @@ class TestColumnarOracle:
         assert degree_oracle_many(f, ("x", "y", "z"), maps) == degree_oracle_many(f, ("x", "y", "z"), pts)
         mixed = [pts[0], maps[1], list(pts[2])]
         assert degree_oracle_many(f, ("x", "y", "z"), mixed) == degree_oracle_many(f, ("x", "y", "z"), pts[:3])
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError):
             degree_oracle_many(f, ("x", "y", "z"), [maps[0], {"x": 1, "y": 2}])
 
     @pytest.mark.parametrize(
@@ -270,7 +270,7 @@ class TestColumnarOracle:
             ([(0, 1, 2), (2, 0, 2), (1, 2.0, 0)], ZeroDivisionError, 1),
             ([(0, 1, 2), (1, 2), (2, 2, 0)], ValueError, 1),
             ([(0, 1, 2), (2, 2, 0), (1, 2)], ValueError, 1),
-            ([(0, 1, 2), {"x": 1, "y": 2}, (1, 1, 1)], KeyError, 1),
+            ([(0, 1, 2), {"x": 1, "y": 2}, (1, 1, 1)], ValueError, 1),
             ([(1, 1, 1), (0, 1, 2)], ZeroDivisionError, 0),
             ([(2, 0, 2), (1, 1, 0)], ZeroDivisionError, 0),
             ([(1, 1, 0), (2, 0, 2)], ValueError, 0),
@@ -341,15 +341,29 @@ class TestBatchEval:
 
     @pytest.mark.parametrize(
         "bad, error",
-        [((1, True), TypeError), ((1, 2.0), TypeError), ((1, 2, 3), ValueError), ({"x": 1, "y": 2.5}, TypeError)],
+        [
+            ((1, True), TypeError), ((1, 2.0), TypeError), ((1, 2, 3), ValueError), ({"x": 1, "y": 2.5}, TypeError),
+            ((4, -7, 99), ValueError), ((4,), ValueError), ({"x": 1}, ValueError),
+        ],
     )
     def test_bad_point_in_a_batch(self, bad, error):
+        """A bad point raises the same error alone, in a batch, and through
+        a map over the same variables; a wrong point names the missing
+        coordinates or both lengths."""
         e = tropicalize(x + y)
         with pytest.raises(error) as single:
             e.eval(bad)
         with pytest.raises(error) as batch:
             e.eval_many([(0, 0), bad, (1, 1)])
         assert str(batch.value) == str(single.value)
+        with pytest.raises(error) as mapped:
+            ud_map([("x", x), ("y", y)], vars=("x", "y")).eval(bad)
+        assert str(mapped.value) == str(single.value)
+        if error is ValueError:
+            assert str(single.value) in (
+                f"point has {len(bad)} coordinates, expression has 2",
+                f"point misses coordinates {[v for v in e.vars if v not in bad]}",
+            )
 
 
 def _chart_formula_inventory(n):

@@ -15,6 +15,7 @@ import json
 
 import pytest
 
+from geomcrystal import slgroup, verify
 from geomcrystal.verify import run_suite
 
 SEEDS = (31001, 7)
@@ -46,3 +47,19 @@ def digest(suite: str) -> str:
 @pytest.mark.parametrize("suite", sorted(DIGESTS))
 def test_verdicts_unchanged(suite):
     assert digest(suite) == DIGESTS[suite], f"verdicts of suite {suite!r} differ"
+
+
+def test_matrix_witness_is_one_based(monkeypatch):
+    """A matrix check names its first differing entry 1-based, as the
+    identity witnesses of ``slgroup`` do."""
+    gauss = slgroup.crystal_act_gauss
+
+    def perturbed(i, c, u):
+        out = gauss(i, c, u)
+        out.rows[1][0] = out.rows[1][0] + 1  # entry (2,1)
+        return out
+
+    monkeypatch.setattr(slgroup, "crystal_act_gauss", perturbed)
+    reports = verify.prop43_reports(2)
+    assert reports and not any(r.holds for r in reports)
+    assert all(r.counterexample == {"entry": [2, 1]} for r in reports)
