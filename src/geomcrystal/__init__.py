@@ -18,7 +18,7 @@ from .slgroup import (
     y_elem,
 )
 from .charts import TorusPointA, TorusPointB
-from .gyt import SharpElement, Tableau, etilde, etilde_pow, ftilde, stilde
+from .gyt import SharpElement, Tableau, etilde, ftilde, stilde
 from .ud import TropExpr, TropMap, chart_to_sharp, degree_oracle, tropicalize, ud_map
 
 __version__ = "0.1.0"
@@ -45,7 +45,6 @@ __all__ = [
     "SharpElement",
     "Tableau",
     "etilde",
-    "etilde_pow",
     "ftilde",
     "stilde",
     "TropExpr",

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from .ratfun import RatFun, as_int, as_ratfun, var
+from .ratfun import RatFun, as_int, as_ratfun, parse, state_fields, var
 from .slgroup import MatRF, TorusElem, coroot, factored_unipotent, symbolic_lower_coords
 
 
@@ -116,9 +116,6 @@ class _ChartPoint:
 
     __hash__ = None
 
-    def all_positive_certs(self) -> bool:
-        return all(v.positive_cert for v in self.coords.values())
-
     def to_json(self) -> dict:
         return {
             "n": self.n,
@@ -129,18 +126,17 @@ class _ChartPoint:
         }
 
     @classmethod
-    def from_json(cls, data: Mapping):
-        from .ratfun import parse
-
+    def from_json(cls, data):
+        n, texts = state_fields(data, f"a chart-{cls.chart!r} point", "coords")
         if data.get("chart") != cls.chart:
             raise ValueError(f"expected a chart-{cls.chart!r} point")
         coords = {}
-        for key, text in data["coords"].items():
+        for key, text in texts.items():
             k, j = (int(part) for part in key.split(","))
             value = coords[(k, j)] = parse(text)
             if not value.positive_cert:
                 raise ValueError(f"chart coordinate {key} = {text!r} is not a positive expression")
-        return cls(data["n"], coords)
+        return cls(n, coords)
 
     def __repr__(self) -> str:
         body = ", ".join(
@@ -156,12 +152,6 @@ def factor_act_coefficients(i: int, coords: Mapping, alpha) -> list:
     column = [coords[(l, i)] for l in range(1, i + 1)]
     mix = [_mixed_sum(column, k, alpha) for k in range(i + 1)]
     return [RatFun.const(1)] + [m / mix[0] for m in mix[1:]]
-
-
-def factor_act_coefficient(i: int, k: int, coords: Mapping, alpha) -> RatFun:
-    if not 0 <= k <= i:
-        raise IndexError(f"mixing ratio index {k} out of range 0..{i}")
-    return factor_act_coefficients(i, coords, alpha)[k]
 
 
 class TorusPointA(_ChartPoint):

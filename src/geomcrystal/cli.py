@@ -47,7 +47,10 @@ def cmd_verify(args) -> int:
 
 def _load_state(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        try:
+            return json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"state file {path} is not JSON ({exc})") from None
 
 
 def _save_state(path: str, data: dict):
@@ -60,8 +63,6 @@ def cmd_act(args) -> int:
     data = _load_state(args.state)
     out_path = args.out or args.state
     if args.kind == "sharp":
-        if "B" not in data:
-            raise ValueError("state file is not a sharp element (no 'B' field)")
         v = gyt.SharpElement.from_json(data)
         try:
             z = int(args.param)

@@ -2,7 +2,7 @@
 
 An element is an integer point (B_{k,j}) indexed by 1 <= k < j <= n+1;
 diagonal slots are never stored, and updates addressed to them are
-discarded.  Kashiwara operators, their closed-form powers, the Weyl
+discarded.  Kashiwara operators, their closed-form signed power, the Weyl
 involutions, and a classical-tableau tensor-rule oracle (via the arabic
 reading word into the box crystal) are provided.
 
@@ -19,7 +19,7 @@ import random
 from itertools import accumulate
 from typing import Mapping, Sequence
 
-from .ratfun import as_int
+from .ratfun import as_int, state_fields
 
 
 class Annihilated(Exception):
@@ -85,12 +85,13 @@ class SharpElement:
         }
 
     @classmethod
-    def from_json(cls, data: Mapping) -> "SharpElement":
+    def from_json(cls, data) -> "SharpElement":
+        n, slots = state_fields(data, "a sharp element", "B")
         entries = {}
-        for key, val in data["B"].items():
+        for key, val in slots.items():
             k, j = (int(part) for part in key.split(","))
             entries[(k, j)] = val
-        return cls(data["n"], entries)
+        return cls(n, entries)
 
     def __repr__(self) -> str:
         return f"SharpElement(n={self.n}, {json.dumps(self.to_json()['B'])})"
@@ -188,29 +189,6 @@ def ftilde(i: int, v: SharpElement) -> SharpElement:
     return _shifted(v, i, ((last, -1),))
 
 
-def _signed_power(i: int, z: int, v: SharpElement) -> SharpElement:
-    """Closed form of the signed power e^z (lowering for z < 0) at an int
-    z: row k shifts by the k-th amount of the two-max formula at z."""
-    return _shifted(v, i, enumerate(two_max_amounts(z, bvals(i, v)), start=1))
-
-
-def etilde_pow(i: int, beta: int, v: SharpElement) -> SharpElement:
-    """Closed form of the beta-fold raising operator, beta >= 0.
-
-    The per-row amounts come from the two-max formula; empty inner maxima
-    drop out of the outer max.
-    """
-    beta = as_int(beta)
-    if beta < 0:
-        raise ValueError("negative power; iterate the lowering operator instead")
-    return _signed_power(i, beta, v)
-
-
-def etilde_pow_amounts(i: int, beta: int, v: SharpElement) -> tuple:
-    """Row amounts (beta_1, ..., beta_i) applied by ``etilde_pow``."""
-    return two_max_amounts(as_int(beta), bvals(i, v))
-
-
 def two_max_amounts(beta: int, bs: Sequence[int]) -> tuple:
     """Per-position amounts of the two-max formula on data b_1..b_m:
 
@@ -231,18 +209,11 @@ def two_max_amounts(beta: int, bs: Sequence[int]) -> tuple:
     return tuple(out)
 
 
-def ftilde_pow(i: int, count: int, v: SharpElement) -> SharpElement:
-    """count-fold lowering operator (count >= 0): the two-max formula at
-    the negative power -count."""
-    count = as_int(count)
-    if count < 0:
-        raise ValueError("negative count; use etilde_pow instead")
-    return _signed_power(i, -count, v)
-
-
 def crystal_power(i: int, z: int, v: SharpElement) -> SharpElement:
-    """Signed power: raising for z >= 0, lowering for z < 0."""
-    return _signed_power(i, as_int(z), v)
+    """Closed form of the signed power e^z, raising for z >= 0 and
+    lowering for z < 0: row k shifts by the k-th amount of the two-max
+    formula at z."""
+    return _shifted(v, i, enumerate(two_max_amounts(as_int(z), bvals(i, v)), start=1))
 
 
 def stilde(i: int, v: SharpElement) -> SharpElement:
@@ -322,13 +293,6 @@ class Tableau:
 
     def to_json(self) -> dict:
         return {"shape": list(self.shape), "rows": [list(r) for r in self.rows]}
-
-    @classmethod
-    def from_json(cls, data: Mapping) -> "Tableau":
-        t = cls(data["rows"])
-        if "shape" in data and tuple(data["shape"]) != t.shape:
-            raise ValueError("declared shape disagrees with the rows")
-        return t
 
     @classmethod
     def random(

@@ -94,6 +94,20 @@ def as_int(value) -> int:
     return operator.index(value)
 
 
+def state_fields(data, what: str, field: str) -> tuple:
+    """(data["n"], data[field]) of a state document: a JSON object with
+    an ``n`` and an object-valued ``field``.  Anything else is a
+    ``ValueError`` saying that the document is not ``what``."""
+    if not isinstance(data, dict):
+        raise ValueError(f"state file is not {what} (not a JSON object)")
+    for key in (field, "n"):
+        if key not in data:
+            raise ValueError(f"state file is not {what} (no {key!r} field)")
+    if not isinstance(data[field], dict):
+        raise ValueError(f"state file is not {what} ({field!r} is not an object)")
+    return data["n"], data[field]
+
+
 def _decode(key: int, width: int) -> tuple:
     return tuple((key >> shift) & _MASK for shift in range(_WIDTH * (width - 1), -1, -_WIDTH))
 

@@ -49,13 +49,6 @@ def cartan_entry(i: int, j: int) -> int:
     return 0
 
 
-def cartan_matrix(n: int) -> list:
-    """The full rank-n type-A Cartan matrix (symmetric, tridiagonal)."""
-    if n < 1:
-        raise ValueError("rank must be at least 1")
-    return [[cartan_entry(i, j) for j in range(1, n + 1)] for i in range(1, n + 1)]
-
-
 class MatRF:
     """Square matrix with :class:`RatFun` entries, 0-indexed storage."""
 
@@ -120,36 +113,8 @@ class MatRF:
     def det(self) -> RatFun:
         return _det(self.rows)
 
-    def is_lower_unitriangular(self) -> bool:
-        for i in range(self.size):
-            if not self.rows[i][i] == 1:
-                return False
-            for j in range(i + 1, self.size):
-                if not self.rows[i][j].is_zero:
-                    return False
-        return True
-
-    def is_upper_unitriangular(self) -> bool:
-        for i in range(self.size):
-            if not self.rows[i][i] == 1:
-                return False
-            for j in range(i):
-                if not self.rows[i][j].is_zero:
-                    return False
-        return True
-
     def to_json(self) -> dict:
         return {"n": self.rank, "entries": [[str(e) for e in row] for row in self.rows]}
-
-    @classmethod
-    def from_json(cls, data: Mapping) -> "MatRF":
-        from .ratfun import parse
-
-        entries = data["entries"]
-        mat = cls([[parse(e) for e in row] for row in entries])
-        if mat.rank != data["n"]:
-            raise ValueError("matrix size disagrees with declared rank")
-        return mat
 
     def __str__(self) -> str:
         return json.dumps(self.to_json()["entries"])
@@ -323,9 +288,6 @@ class GaussFactors:
         """The Borel factor lower*torus of the decomposition."""
         return self.lower * self.torus.as_matrix()
 
-    def recompose(self) -> MatRF:
-        return self.lower * self.torus.as_matrix() * self.upper
-
 
 def gauss_decompose(g: MatRF) -> GaussFactors:
     """LDU decomposition by sequential elimination on the leading
@@ -360,13 +322,6 @@ def gauss_decompose(g: MatRF) -> GaussFactors:
 
 # ---------------------------------------------------------------------------
 # unipotent-crystal data on the lower unipotent subgroup
-
-
-def chi(i: int, g: MatRF) -> RatFun:
-    """Subdiagonal coordinate of the lower-unipotent part of a Borel
-    element: entry (i+1, i) divided by the diagonal entry (i, i)."""
-    _check_index(i, g.rank)
-    return g.rows[i][i - 1] / g.rows[i - 1][i - 1]
 
 
 def phi(i: int, u: MatRF) -> RatFun:
@@ -434,14 +389,6 @@ def crystal_act_gauss(i: int, c, u: MatRF) -> MatRF:
     return gauss_decompose(x_elem(i, t1, n) * u).lower
 
 
-def borel_pair_act(x: MatRF, b1: MatRF, b2: MatRF):
-    """Unipotent action on a pair of Borel elements: the first factor
-    absorbs x, the second absorbs the upper remainder of the first."""
-    f1 = gauss_decompose(x * b1)
-    f2 = gauss_decompose(f1.upper * b2)
-    return f1.borel, f2.borel
-
-
 # ---------------------------------------------------------------------------
 # identity checks
 
@@ -454,12 +401,6 @@ class IdentityReport:
 
     def __bool__(self) -> bool:
         return self.holds
-
-    def to_json(self) -> dict:
-        out = {"identity": self.identity, "holds": self.holds}
-        if self.witness is not None:
-            out["witness"] = self.witness
-        return out
 
 
 def _matrix_report(name: str, lhs: MatRF, rhs: MatRF) -> IdentityReport:

@@ -363,12 +363,6 @@ class TropMap:
         """Every component at one point over :attr:`vars`, which they all share."""
         return tuple(e.eval(point) for e in self.components)
 
-    def to_json(self) -> dict:
-        return {
-            "vars": list(self.vars),
-            "components": {n: str(e) for n, e in zip(self.names, self.components)},
-        }
-
     def __repr__(self) -> str:
         return f"TropMap({len(self.vars)} -> {len(self.components)})"
 
@@ -398,8 +392,3 @@ def chart_to_sharp(n: int, values: Mapping) -> SharpElement:
             raise ValueError(f"chart index {(k, j)} out of range")
         entries[(k, j + 1)] = as_int(val)
     return SharpElement._trusted(n, entries)
-
-
-def sharp_to_chart(v: SharpElement) -> dict:
-    """Inverse identification: slot (k, j) maps to coordinate (k, j-1)."""
-    return {(k, j - 1): val for (k, j), val in v.entries.items()}

@@ -28,7 +28,7 @@ DEFAULT_SEED = 31001
 
 SUITE_CAPS = {
     "verma": 3,
-    "prop43": 3,
+    "prop43": 4,
     "axioms": 5,
     "umorphism": 6,
     "fi-mi": 7,
@@ -286,7 +286,8 @@ def sharp_reports(n: int, seed: int = DEFAULT_SEED, cases: int = 1000) -> list:
         step = v
         for _ in range(beta):
             step = gyt.etilde(i, step)
-        bad = gyt.etilde_pow(i, beta, v) != step or sum(gyt.etilde_pow_amounts(i, beta, v)) != beta
+        amounts = gyt.two_max_amounts(beta, gyt.bvals(i, v))
+        bad = gyt.crystal_power(i, beta, v) != step or sum(amounts) != beta
         return {} if bad else None
 
     return [
@@ -341,7 +342,7 @@ def oracle_reports(n: int, seed: int = DEFAULT_SEED, cases: int = 500) -> list:
                 continue
             moved = gyt.tensor_e_pow(i, beta, word)
             got = gyt.rowcounts_from_word(moved, t.shape, n)
-            expected = gyt.etilde_pow(i, beta, gyt.tableau_rowcounts(t, n))
+            expected = gyt.crystal_power(i, beta, gyt.tableau_rowcounts(t, n))
             if got != expected:
                 return False, {"tableau": t.to_json(), "i": i, "beta": beta}
             done += 1

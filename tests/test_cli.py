@@ -43,6 +43,11 @@ class TestVerify:
         assert code == 0
         assert "FAIL" not in out
 
+    def test_prop43_at_its_cap(self, capsys):
+        code, out = run(capsys, "verify", "prop43", "--n", "4")
+        assert code == 0
+        assert "4/4 checks hold" in out
+
     def test_umorphism_at_its_cap(self, capsys):
         code, out = run(capsys, "verify", "umorphism", "--n", "6")
         assert code == 0
@@ -161,6 +166,11 @@ BAD_STATES = {
         {"n": 1, "chart": "A", "coords": {"1,1": "(" * 300 + "6" + ")" * 300}}
     ),
     "expr": "(x + y) / z\n",
+    "sharp-list": json.dumps({"n": 1, "B": [1]}),
+    "chart-list": json.dumps({"n": 1, "chart": "A", "coords": [1]}),
+    "string": json.dumps("x"),
+    "sharp-no-rank": json.dumps({"B": {"1,2": 0}}),
+    "not-json": "{not json",
 }
 
 
@@ -182,10 +192,31 @@ class TestErrorMessages:
              "error: alpha_ik needs --i and --k"),
             ("expr", ["trop", "--expr-file", "{state}", "--point", '{{"x": 2}}'],
              "error: point misses coordinates ['y', 'z']"),
+            ("sharp-list", ["act", "sharp", "{state}", "--i", "1", "--param", "1"],
+             "error: state file is not a sharp element ('B' is not an object)"),
+            ("chart-list", ["act", "geom-A", "{state}", "--i", "1", "--param", "3"],
+             "error: state file is not a chart-'A' point ('coords' is not an object)"),
+            ("string", ["act", "geom-A", "{state}", "--i", "1", "--param", "3"],
+             "error: state file is not a chart-'A' point (not a JSON object)"),
+            ("string", ["act", "sharp", "{state}", "--i", "1", "--param", "1"],
+             "error: state file is not a sharp element (not a JSON object)"),
+            ("sharp-no-rank", ["act", "sharp", "{state}", "--i", "1", "--param", "1"],
+             "error: state file is not a sharp element (no 'n' field)"),
+            ("chart", ["graph", "{state}", "--radius", "1", "--out", "{state}.dot"],
+             "error: state file is not a sharp element (no 'B' field)"),
+            ("not-json", ["act", "sharp", "{state}", "--i", "1", "--param", "1"],
+             "error: state file {state} is not JSON (Expecting property name enclosed in "
+             "double quotes: line 1 column 2 (char 1))"),
+            ("not-json", ["graph", "{state}", "--radius", "1", "--out", "{state}.dot"],
+             "error: state file {state} is not JSON (Expecting property name enclosed in "
+             "double quotes: line 1 column 2 (char 1))"),
         ],
         ids=[
             "act-sharp-on-chart-state", "graph-negative-radius", "trop-point-not-json",
             "trop-without-formula", "trop-alpha-without-k", "trop-missing-coordinates",
+            "act-sharp-entries-not-object", "act-chart-coords-not-object",
+            "act-chart-state-not-object", "act-sharp-state-not-object", "act-sharp-without-rank",
+            "graph-on-chart-state", "act-state-not-json", "graph-root-not-json",
         ],
     )
     def test_error_message(self, tmp_path, capsys, state, argv, expected):
@@ -194,7 +225,7 @@ class TestErrorMessages:
             path.write_text(BAD_STATES[state])
         before = path.read_text() if path.exists() else None
         code, out = run(capsys, *(arg.format(state=path) for arg in argv))
-        assert (code, out) == (2, expected + "\n")
+        assert (code, out) == (2, expected.format(state=path) + "\n")
         assert (path.read_text() if path.exists() else None) == before
         assert not (tmp_path / "state.json.dot").exists()
 

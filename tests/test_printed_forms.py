@@ -19,7 +19,7 @@ from geomcrystal.charts import (
     TorusPointA,
     TorusPointB,
     crystal_parameter,
-    factor_act_coefficient,
+    factor_act_coefficients,
     ratio_act_coefficient,
 )
 from geomcrystal.ratfun import Q, const, var
@@ -55,7 +55,7 @@ def coefficients_and_changes() -> list:
         a, b = TorusPointA.symbolic(n), TorusPointB.symbolic(n)
         for i in range(1, n + 1):
             for k in range(0, i + 1):
-                lines.append(_line(f"a n={n} i={i} k={k}", factor_act_coefficient(i, k, a.coords, alpha)))
+                lines.append(_line(f"a n={n} i={i} k={k}", factor_act_coefficients(i, a.coords, alpha)[k]))
             for k in range(1, i + 1):
                 lines.append(_line(f"A n={n} i={i} k={k}", ratio_act_coefficient(i, k, b.coords, alpha)))
             lines.append(_line(f"w n={n} i={i}", b.weight_component(i)))
@@ -102,7 +102,7 @@ def tropical_forms() -> list:
         a, b = TorusPointA.symbolic(n), TorusPointB.symbolic(n)
         for i in range(1, n + 1):
             for k in range(0, i + 1):
-                trop(f"a n={n} i={i} k={k}", factor_act_coefficient(i, k, a.coords, alpha))
+                trop(f"a n={n} i={i} k={k}", factor_act_coefficients(i, a.coords, alpha)[k])
             for k in range(1, i + 1):
                 trop(f"A n={n} i={i} k={k}", ratio_act_coefficient(i, k, b.coords, alpha))
             trop(f"w n={n} i={i}", b.weight_component(i))
