@@ -110,11 +110,17 @@ class _ChartPoint:
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
             return NotImplemented
-        return self.n == other.n and all(
-            self.coords[key] == other.coords[key] for key in index_pairs(self.n)
-        )
+        return self.n == other.n and self.first_difference(other) is None
 
     __hash__ = None
+
+    def first_difference(self, other: "_ChartPoint"):
+        """``{"coordinate": [k, j]}`` for the first differing coordinate in
+        index-pair order, or None when the points agree."""
+        for key in index_pairs(self.n):
+            if not self.coords[key] == other.coords[key]:
+                return {"coordinate": list(key)}
+        return None
 
     def to_json(self) -> dict:
         return {
@@ -131,11 +137,12 @@ class _ChartPoint:
         if data.get("chart") != cls.chart:
             raise ValueError(f"expected a chart-{cls.chart!r} point")
         coords = {}
-        for key, text in texts.items():
-            k, j = (int(part) for part in key.split(","))
+        for (k, j), text in texts.items():
+            if not isinstance(text, str):
+                raise ValueError(f"chart coordinate {k},{j} = {text!r} is not an expression string")
             value = coords[(k, j)] = parse(text)
             if not value.positive_cert:
-                raise ValueError(f"chart coordinate {key} = {text!r} is not a positive expression")
+                raise ValueError(f"chart coordinate {k},{j} = {text!r} is not a positive expression")
         return cls(n, coords)
 
     def __repr__(self) -> str:

@@ -14,6 +14,7 @@ at the last.
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 from itertools import accumulate
@@ -60,9 +61,10 @@ class SharpElement:
         return cls(n, {})
 
     @classmethod
-    def random(cls, n: int, rng: random.Random, lo: int = -10, hi: int = 10) -> "SharpElement":
+    def random(cls, n: int, rng: random.Random) -> "SharpElement":
+        """Every entry drawn uniformly from -10..10."""
         n = as_int(n)
-        return cls._trusted(n, {key: rng.randint(lo, hi) for key in sharp_pairs(n)})
+        return cls._trusted(n, {key: rng.randint(-10, 10) for key in sharp_pairs(n)})
 
     def b(self, k: int, j: int) -> int:
         return self.entries[(k, j)]
@@ -86,11 +88,10 @@ class SharpElement:
 
     @classmethod
     def from_json(cls, data) -> "SharpElement":
-        n, slots = state_fields(data, "a sharp element", "B")
-        entries = {}
-        for key, val in slots.items():
-            k, j = (int(part) for part in key.split(","))
-            entries[(k, j)] = val
+        n, entries = state_fields(data, "a sharp element", "B")
+        for (k, j), val in entries.items():
+            if type(val) is not int:
+                raise ValueError(f"sharp entry {k},{j} = {val!r} is not an integer")
         return cls(n, entries)
 
     def __repr__(self) -> str:
@@ -295,14 +296,12 @@ class Tableau:
         return {"shape": list(self.shape), "rows": [list(r) for r in self.rows]}
 
     @classmethod
-    def random(
-        cls, n: int, rng: random.Random, max_cells: int = 12, max_tries: int = 200
-    ) -> "Tableau":
+    def random(cls, n: int, rng: random.Random) -> "Tableau":
         """Uniformly random shape (over all partitions with at most
-        ``max_cells`` boxes and n+1 rows), filled by a random
-        semistandard completion with entries in 1..n+1."""
-        shapes = _partitions_upto(max_cells, n + 1)
-        for _ in range(max_tries):
+        ``_MAX_CELLS`` boxes and n+1 rows), filled by a random
+        semistandard completion with entries in 1..n+1; 200 tries."""
+        shapes = _partitions_upto(n + 1)
+        for _ in range(200):
             shape = rng.choice(shapes)
             rows = []
             ok = True
@@ -337,28 +336,26 @@ class Tableau:
         return f"Tableau({list(list(r) for r in self.rows)})"
 
 
-_PARTITION_CACHE: dict = {}
+_MAX_CELLS = 12
 
 
-def _partitions_upto(max_cells: int, max_rows: int) -> list:
-    """All partitions with 1..max_cells boxes and at most max_rows rows."""
-    key = (max_cells, max_rows)
-    if key not in _PARTITION_CACHE:
-        out = []
+@functools.cache
+def _partitions_upto(max_rows: int) -> tuple:
+    """All partitions with 1.._MAX_CELLS boxes and at most max_rows rows."""
+    out = []
 
-        def extend(prefix, remaining, limit):
-            if prefix:
-                out.append(tuple(prefix))
-            if remaining == 0 or len(prefix) == max_rows:
-                return
-            for width in range(min(limit, remaining), 0, -1):
-                prefix.append(width)
-                extend(prefix, remaining - width, width)
-                prefix.pop()
+    def extend(prefix, remaining, limit):
+        if prefix:
+            out.append(tuple(prefix))
+        if remaining == 0 or len(prefix) == max_rows:
+            return
+        for width in range(min(limit, remaining), 0, -1):
+            prefix.append(width)
+            extend(prefix, remaining - width, width)
+            prefix.pop()
 
-        extend([], max_cells, max_cells)
-        _PARTITION_CACHE[key] = sorted(set(out))
-    return _PARTITION_CACHE[key]
+    extend([], _MAX_CELLS, _MAX_CELLS)
+    return tuple(sorted(set(out)))
 
 
 def arabic_reading(t: Tableau) -> tuple:

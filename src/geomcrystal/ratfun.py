@@ -95,17 +95,26 @@ def as_int(value) -> int:
 
 
 def state_fields(data, what: str, field: str) -> tuple:
-    """(data["n"], data[field]) of a state document: a JSON object with
-    an ``n`` and an object-valued ``field``.  Anything else is a
-    ``ValueError`` saying that the document is not ``what``."""
+    """(n, {(k, j): value}) of a state document: a JSON object with an
+    integer ``n`` and an object-valued ``field`` keyed by ``"k,j"``.
+    Anything else is a ``ValueError`` saying that the document is not
+    ``what``; the values are left for the caller to check."""
     if not isinstance(data, dict):
         raise ValueError(f"state file is not {what} (not a JSON object)")
     for key in (field, "n"):
         if key not in data:
             raise ValueError(f"state file is not {what} (no {key!r} field)")
+    if type(data["n"]) is not int:
+        raise ValueError(f"state file is not {what} ('n' is not an integer: {data['n']!r})")
     if not isinstance(data[field], dict):
         raise ValueError(f"state file is not {what} ({field!r} is not an object)")
-    return data["n"], data[field]
+    slots = {}
+    for key, value in data[field].items():
+        match = re.fullmatch(r"\s*(\d+)\s*,\s*(\d+)\s*", key, re.ASCII)
+        if match is None:
+            raise ValueError(f"state file is not {what} (key {key!r} is not \"k,j\")")
+        slots[(int(match[1]), int(match[2]))] = value
+    return data["n"], slots
 
 
 def _decode(key: int, width: int) -> tuple:

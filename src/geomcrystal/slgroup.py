@@ -100,11 +100,12 @@ class MatRF:
     __hash__ = None
 
     def first_difference(self, other: "MatRF"):
-        """(i, j, lhs, rhs) for the first differing entry, or None."""
+        """``{"entry": [i, j]}``, 1-based, for the first differing entry in
+        row-major order, or None when the matrices agree."""
         for i in range(self.size):
             for j in range(self.size):
                 if not self.rows[i][j] == other.rows[i][j]:
-                    return (i, j, self.rows[i][j], other.rows[i][j])
+                    return {"entry": [i + 1, j + 1]}
         return None
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "MatRF":
@@ -198,11 +199,17 @@ class TorusElem:
     def __eq__(self, other) -> bool:
         if not isinstance(other, TorusElem):
             return NotImplemented
-        return self.size == other.size and all(
-            a == b for a, b in zip(self.diag, other.diag)
-        )
+        return self.size == other.size and self.first_difference(other) is None
 
     __hash__ = None
+
+    def first_difference(self, other: "TorusElem"):
+        """``{"diagonal": k}``, 1-based, for the first differing diagonal
+        slot, or None when the elements agree."""
+        for k, (a, b) in enumerate(zip(self.diag, other.diag), start=1):
+            if not a == b:
+                return {"diagonal": k}
+        return None
 
     def __repr__(self) -> str:
         return "TorusElem(" + ", ".join(str(d) for d in self.diag) + ")"
@@ -311,9 +318,9 @@ def gauss_decompose(g: MatRF) -> GaussFactors:
         for j in range(k + 1, m):
             upper.rows[k][j] = work[k][j] / pivot
         for i in range(k + 1, m):
-            if work[i][k].is_zero:
+            factor = lower.rows[i][k]
+            if factor.is_zero:
                 continue
-            factor = work[i][k] / pivot
             for j in range(k + 1, m):
                 if not work[k][j].is_zero:
                     work[i][j] = work[i][j] - factor * work[k][j]
@@ -395,20 +402,18 @@ def crystal_act_gauss(i: int, c, u: MatRF) -> MatRF:
 
 @dataclass
 class IdentityReport:
+    """An identity and where it fails: the ``first_difference`` of its
+    two sides, None when it holds."""
+
     identity: str
-    holds: bool
-    witness: str | None = None
+    witness: dict | None = None
+
+    @property
+    def holds(self) -> bool:
+        return self.witness is None
 
     def __bool__(self) -> bool:
         return self.holds
-
-
-def _matrix_report(name: str, lhs: MatRF, rhs: MatRF) -> IdentityReport:
-    diff = lhs.first_difference(rhs)
-    if diff is None:
-        return IdentityReport(name, True)
-    i, j, a, b = diff
-    return IdentityReport(name, False, f"entry ({i + 1},{j + 1}): {a} != {b}")
 
 
 def relation_kind(i: int, j: int) -> str:
@@ -438,7 +443,7 @@ def check_braid_relation(i: int, j: int, n: int) -> IdentityReport:
     if i == j or not (1 <= i <= n and 1 <= j <= n):
         raise IndexError("need two distinct directions in range")
     lhs, rhs = rank2_relation(i, j, crystal_act, generic_unipotent(n))
-    return _matrix_report(f"{relation_kind(i, j)}(e_{i}, e_{j}) at n={n}", lhs, rhs)
+    return IdentityReport(f"{relation_kind(i, j)}(e_{i}, e_{j}) at n={n}", lhs.first_difference(rhs))
 
 
 def check_borel_embed_equivariant(i: int, n: int) -> IdentityReport:
@@ -449,7 +454,7 @@ def check_borel_embed_equivariant(i: int, n: int) -> IdentityReport:
     x = x_elem(i, var("s"), n)
     lhs = borel_embed(gauss_decompose(x * u).lower)
     rhs = gauss_decompose(x * borel_embed(u)).borel
-    return _matrix_report(f"embed-equivariance(i={i}) at n={n}", lhs, rhs)
+    return IdentityReport(f"embed-equivariance(i={i}) at n={n}", lhs.first_difference(rhs))
 
 
 def check_torus_compatibility(i: int, n: int) -> IdentityReport:
@@ -461,8 +466,4 @@ def check_torus_compatibility(i: int, n: int) -> IdentityReport:
     factors = gauss_decompose(x * u)
     lhs = torus_weight(factors.lower)
     rhs = factors.torus * torus_weight(u)
-    name = f"torus-compatibility(i={i}) at n={n}"
-    for k, (a, b) in enumerate(zip(lhs.diag, rhs.diag)):
-        if not a == b:
-            return IdentityReport(name, False, f"diagonal slot {k + 1}: {a} != {b}")
-    return IdentityReport(name, True)
+    return IdentityReport(f"torus-compatibility(i={i}) at n={n}", lhs.first_difference(rhs))

@@ -6,8 +6,8 @@ command-line front end and the acceptance tests both run these
 functions, so the two surfaces cannot drift apart.
 
 Symbolic checks are universally quantified: they run on generic points
-with fresh symbols.  For the rank-3 relation checks in ratio
-coordinates the generic point is pulled back through the birational
+with fresh symbols.  For the relation checks in ratio coordinates
+the generic point is pulled back through the birational
 chart change (the identity in the pulled-back coordinates is equivalent
 to the identity in the chart's own function field and is computable
 without polynomial GCD).  Randomized checks draw from seeded generators
@@ -25,6 +25,8 @@ from . import charts, gyt, slgroup, ud
 from .ratfun import Q, RatFun, var
 
 DEFAULT_SEED = 31001
+POSITIVITY_POINTS = 100  # seeded evaluation points per positivity check
+SHARP_CASES = 1000  # seeded draws per free-crystal and Weyl check
 
 SUITE_CAPS = {
     "verma": 3,
@@ -46,10 +48,6 @@ class VerifyReport:
     elapsed: float = 0.0
     counterexample: dict | None = None
 
-    def __post_init__(self):
-        if not self.holds and self.counterexample is None:
-            self.counterexample = {}
-
     def __bool__(self) -> bool:
         return self.holds
 
@@ -66,46 +64,32 @@ class VerifyReport:
 
 
 def _timed(check: str, n: int, thunk) -> VerifyReport:
+    """Time ``thunk``, which returns None when the check holds and else
+    a witness dict that says where it fails."""
     start = time.perf_counter()
-    holds, witness = thunk()
+    witness = thunk()
     elapsed = time.perf_counter() - start
-    return VerifyReport(check, n, holds, elapsed, witness if not holds else None)
+    return VerifyReport(check, n, witness is None, elapsed, witness)
 
 
 def _from_identity(n: int, thunk) -> VerifyReport:
     start = time.perf_counter()
     rep = thunk()
     elapsed = time.perf_counter() - start
-    witness = None if rep.holds else {"witness": rep.witness or ""}
-    return VerifyReport(rep.identity, n, rep.holds, elapsed, witness)
-
-
-def _matrix_verdict(lhs, rhs) -> tuple:
-    """(holds, witness) of lhs == rhs; the witness entry is 1-based, as in ``slgroup``."""
-    diff = lhs.first_difference(rhs)
-    return diff is None, None if diff is None else {"entry": [diff[0] + 1, diff[1] + 1]}
+    return VerifyReport(rep.identity, n, rep.holds, elapsed, rep.witness)
 
 
 # ---------------------------------------------------------------------------
 # rank-2 relations (Verma suite)
 
 
-def _generic_ratio_point(n: int) -> charts.TorusPointB:
-    if n <= 2:
-        return charts.TorusPointB.symbolic(n)
-    return charts.TorusPointA.symbolic(n).to_ratio()
-
-
 def _ratio_relation(i: int, j: int, n: int):
     name = f"ratio-chart {slgroup.relation_kind(i, j)}(e_{i}, e_{j}) at n={n}"
 
     def thunk():
-        q = _generic_ratio_point(n)
+        q = charts.TorusPointA.symbolic(n).to_ratio()
         lhs, rhs = slgroup.rank2_relation(i, j, lambda d, c, x: x.act(d, c), q)
-        for key in charts.index_pairs(n):
-            if not lhs.coords[key] == rhs.coords[key]:
-                return False, {"coordinate": f"{key}"}
-        return True, None
+        return lhs.first_difference(rhs)
 
     return name, thunk
 
@@ -132,19 +116,15 @@ def axiom_reports(n: int) -> list:
     al, c1, c2 = var("al"), var("c1"), var("c2")
     for i in range(1, n + 1):
         def unit(i=i):
-            return slgroup.crystal_act(i, RatFun.const(1), u) == u, None
+            return slgroup.crystal_act(i, RatFun.const(1), u).first_difference(u)
 
         def equivariance(i=i):
             lhs = slgroup.torus_weight(slgroup.crystal_act(i, al, u))
-            rhs = slgroup.coroot(i, al, n) * slgroup.torus_weight(u)
-            for slot, (a, b) in enumerate(zip(lhs.diag, rhs.diag)):
-                if not a == b:
-                    return False, {"diagonal": slot + 1}
-            return True, None
+            return lhs.first_difference(slgroup.coroot(i, al, n) * slgroup.torus_weight(u))
 
         def one_parameter(i=i):
             lhs = slgroup.crystal_act(i, c2, slgroup.crystal_act(i, c1, u))
-            return _matrix_verdict(lhs, slgroup.crystal_act(i, c1 * c2, u))
+            return lhs.first_difference(slgroup.crystal_act(i, c1 * c2, u))
 
         out.append(_timed(f"unit action e^1=id (i={i}) at n={n}", n, unit))
         out.append(_timed(f"weight equivariance (i={i}) at n={n}", n, equivariance))
@@ -174,13 +154,13 @@ def minor_reports(n: int) -> list:
             for k in range(1, i + 1):
                 for j in range(k, n - i + k + 1):
                     product = product * coords[(k, j)]
-            return slgroup.corner_minor(i, u) == product, None
+            return None if slgroup.corner_minor(i, u) == product else {}
 
         def phi_formula(i=i):
             total = coords[(1, i)]
             for k in range(2, i + 1):
                 total = total + coords[(k, i)]
-            return slgroup.phi(i, u) == total, None
+            return None if slgroup.phi(i, u) == total else {}
 
         out.append(_timed(f"corner minor product formula (i={i}) at n={n}", n, minor_formula))
         out.append(_timed(f"subdiagonal column sum (i={i}) at n={n}", n, phi_formula))
@@ -196,7 +176,7 @@ def prop43_reports(n: int) -> list:
     u = p.to_matrix()
     for i in range(1, n + 1):
         def closed_vs_gauss(i=i):
-            return _matrix_verdict(p.act(i, al).to_matrix(), slgroup.crystal_act_gauss(i, al, u))
+            return p.act(i, al).to_matrix().first_difference(slgroup.crystal_act_gauss(i, al, u))
 
         out.append(_timed(f"chart closed form vs gauss action (i={i}) at n={n}", n, closed_vs_gauss))
     return out
@@ -206,7 +186,7 @@ def prop43_reports(n: int) -> list:
 # positivity of the chart data
 
 
-def positivity_reports(n: int, seed: int = DEFAULT_SEED, points: int = 100) -> list:
+def positivity_reports(n: int, seed: int = DEFAULT_SEED) -> list:
     rng = random.Random(seed)
     al = charts.crystal_parameter()
     p = charts.TorusPointA.symbolic(n)
@@ -226,13 +206,13 @@ def positivity_reports(n: int, seed: int = DEFAULT_SEED, points: int = 100) -> l
     for name, value in inventory:
         def positive(value=value):
             if not value.positive_cert:
-                return False, {"reason": "certificate missing"}
+                return {"reason": "certificate missing"}
             names = sorted(set(value.variables))
-            for _ in range(points):
+            for _ in range(POSITIVITY_POINTS):
                 pt = {v: Q(rng.randint(1, 60), rng.randint(1, 9)) for v in names}
                 if not value.eval(pt) > 0:
-                    return False, {"point": {k: str(x) for k, x in pt.items()}}
-            return True, None
+                    return {"point": {k: str(x) for k, x in pt.items()}}
+            return None
 
         out.append(_timed(f"{name} at n={n}", n, positive))
     return out
@@ -243,7 +223,7 @@ def positivity_reports(n: int, seed: int = DEFAULT_SEED, points: int = 100) -> l
 
 
 def _sampled(n: int, rng: random.Random, cases: int, fails, top: int):
-    """(holds, witness) of a property over ``cases`` seeded draws of an
+    """The witness of a property over ``cases`` seeded draws of an
     element v and a direction i in 1..top, vacuous when top < 1.
     ``fails(v, i)`` returns None, or the counterexample fields beyond the
     element and i."""
@@ -252,11 +232,11 @@ def _sampled(n: int, rng: random.Random, cases: int, fails, top: int):
         i = rng.randint(1, top)
         extra = fails(v, i)
         if extra is not None:
-            return False, {"element": v.to_json(), "i": i, **extra}
-    return True, None
+            return {"element": v.to_json(), "i": i, **extra}
+    return None
 
 
-def sharp_reports(n: int, seed: int = DEFAULT_SEED, cases: int = 1000) -> list:
+def sharp_reports(n: int, seed: int = DEFAULT_SEED) -> list:
     rng = random.Random(seed)
 
     def axioms(v, i):
@@ -291,18 +271,18 @@ def sharp_reports(n: int, seed: int = DEFAULT_SEED, cases: int = 1000) -> list:
         return {} if bad else None
 
     return [
-        _timed(f"sharp crystal axioms ({cases} random) at n={n}", n,
-               lambda: _sampled(n, rng, cases, axioms, n)),
-        _timed(f"sharp epsilon/phi shifts ({cases} random) at n={n}", n,
-               lambda: _sampled(n, rng, cases, shifts, n)),
-        _timed(f"sharp freeness ({cases} random) at n={n}", n,
-               lambda: _sampled(n, rng, cases, freeness, n)),
-        _timed(f"sharp power formula ({cases // 2} random) at n={n}", n,
-               lambda: _sampled(n, rng, cases // 2, powers, n)),
+        _timed(f"sharp crystal axioms ({SHARP_CASES} random) at n={n}", n,
+               lambda: _sampled(n, rng, SHARP_CASES, axioms, n)),
+        _timed(f"sharp epsilon/phi shifts ({SHARP_CASES} random) at n={n}", n,
+               lambda: _sampled(n, rng, SHARP_CASES, shifts, n)),
+        _timed(f"sharp freeness ({SHARP_CASES} random) at n={n}", n,
+               lambda: _sampled(n, rng, SHARP_CASES, freeness, n)),
+        _timed(f"sharp power formula ({SHARP_CASES // 2} random) at n={n}", n,
+               lambda: _sampled(n, rng, SHARP_CASES // 2, powers, n)),
     ]
 
 
-def weyl_reports(n: int, seed: int = DEFAULT_SEED, cases: int = 1000) -> list:
+def weyl_reports(n: int, seed: int = DEFAULT_SEED) -> list:
     rng = random.Random(seed)
 
     def involution(v, i):
@@ -319,12 +299,12 @@ def weyl_reports(n: int, seed: int = DEFAULT_SEED, cases: int = 1000) -> list:
         return {"j": j} if bad else None
 
     return [
-        _timed(f"weyl involution ({cases} random) at n={n}", n,
-               lambda: _sampled(n, rng, cases, involution, n)),
-        _timed(f"weyl braid ({cases} random) at n={n}", n,
-               lambda: _sampled(n, rng, cases, braid, n - 1)),
-        _timed(f"weyl commutation ({cases} random) at n={n}", n,
-               lambda: _sampled(n, rng, cases, commute, n - 2)),
+        _timed(f"weyl involution ({SHARP_CASES} random) at n={n}", n,
+               lambda: _sampled(n, rng, SHARP_CASES, involution, n)),
+        _timed(f"weyl braid ({SHARP_CASES} random) at n={n}", n,
+               lambda: _sampled(n, rng, SHARP_CASES, braid, n - 1)),
+        _timed(f"weyl commutation ({SHARP_CASES} random) at n={n}", n,
+               lambda: _sampled(n, rng, SHARP_CASES, commute, n - 2)),
     ]
 
 
@@ -344,9 +324,9 @@ def oracle_reports(n: int, seed: int = DEFAULT_SEED, cases: int = 500) -> list:
             got = gyt.rowcounts_from_word(moved, t.shape, n)
             expected = gyt.crystal_power(i, beta, gyt.tableau_rowcounts(t, n))
             if got != expected:
-                return False, {"tableau": t.to_json(), "i": i, "beta": beta}
+                return {"tableau": t.to_json(), "i": i, "beta": beta}
             done += 1
-        return True, None
+        return None
 
     return [_timed(f"tableau tensor-rule oracle ({cases} cases) at n={n}", n, oracle)]
 
@@ -390,8 +370,8 @@ def udmain_reports(n: int, seed: int = DEFAULT_SEED) -> list:
                 moved = gyt.crystal_power(i, pt[-1], v)
                 for k, amount in enumerate(trop, start=1):
                     if amount != v.b(k, i + 1) - moved.b(k, i + 1):
-                        return False, {"point": list(pt), "i": i, "k": k}
-            return True, None
+                        return {"point": list(pt), "i": i, "k": k}
+            return None
 
         return thunk
 
@@ -402,8 +382,8 @@ def udmain_reports(n: int, seed: int = DEFAULT_SEED) -> list:
             wt = gyt.weight(ud.chart_to_sharp(n, dict(zip(pairs, pt))))
             for i, amount in enumerate(trop, start=1):
                 if amount != wt[i - 1]:
-                    return False, {"point": list(pt), "i": i}
-        return True, None
+                    return {"point": list(pt), "i": i}
+        return None
 
     def soundness():
         apoints = [pt[:-1] for pt in points]
@@ -418,9 +398,7 @@ def udmain_reports(n: int, seed: int = DEFAULT_SEED) -> list:
             bad = next(j for j, (a, b) in enumerate(zip(trop, oracle)) if a != b)
             if first is None or bad < first[0]:
                 first = (bad, name)
-        if first is None:
-            return True, None
-        return False, {"point": list(points[first[0]]), "formula": first[1]}
+        return None if first is None else {"point": list(points[first[0]]), "formula": first[1]}
 
     for i in range(1, n + 1):
         out.append(

@@ -66,7 +66,7 @@ def test_criterion_05_positive_structure():
     started = time.perf_counter()
     reports = []
     for n in (1, 2, 3, 4):
-        reports.extend(verify.positivity_reports(n, seed=ACCEPTANCE_SEED, points=100))
+        reports.extend(verify.positivity_reports(n, seed=ACCEPTANCE_SEED))
     _report("5 (subtraction-free certificates and positive evaluation)", reports, started)
 
 
@@ -74,7 +74,7 @@ def test_criterion_06_sharp_axioms_and_freeness():
     started = time.perf_counter()
     reports = []
     for n in (1, 2, 3, 4, 5):
-        reports.extend(verify.sharp_reports(n, seed=ACCEPTANCE_SEED + n, cases=1000))
+        reports.extend(verify.sharp_reports(n, seed=ACCEPTANCE_SEED + n))
     _report("6 (free-crystal axioms, shifts, inverse operators)", reports, started)
 
 
@@ -107,5 +107,5 @@ def test_criterion_10_weyl_action():
     started = time.perf_counter()
     reports = []
     for n in (1, 2, 3, 4):
-        reports.extend(verify.weyl_reports(n, seed=ACCEPTANCE_SEED + n, cases=1000))
+        reports.extend(verify.weyl_reports(n, seed=ACCEPTANCE_SEED + n))
     _report("10 (Weyl involutions: squares, braid, commutation)", reports, started)

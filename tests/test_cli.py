@@ -171,6 +171,11 @@ BAD_STATES = {
     "string": json.dumps("x"),
     "sharp-no-rank": json.dumps({"B": {"1,2": 0}}),
     "not-json": "{not json",
+    "sharp-one-index-key": json.dumps({"n": 1, "B": {"1": 1}}),
+    "sharp-string-entry": json.dumps({"n": 1, "B": {"1,2": "1"}}),
+    "sharp-string-rank": json.dumps({"n": "2", "B": {}}),
+    "sharp-non-integer-key": json.dumps({"n": 1, "B": {"1,x": 1}}),
+    "chart-number-coordinate": json.dumps({"n": 1, "chart": "A", "coords": {"1,1": 6}}),
 }
 
 
@@ -210,6 +215,16 @@ class TestErrorMessages:
             ("not-json", ["graph", "{state}", "--radius", "1", "--out", "{state}.dot"],
              "error: state file {state} is not JSON (Expecting property name enclosed in "
              "double quotes: line 1 column 2 (char 1))"),
+            ("sharp-one-index-key", ["act", "sharp", "{state}", "--i", "1", "--param", "1"],
+             "error: state file is not a sharp element (key '1' is not \"k,j\")"),
+            ("sharp-string-entry", ["act", "sharp", "{state}", "--i", "1", "--param", "1"],
+             "error: sharp entry 1,2 = '1' is not an integer"),
+            ("sharp-string-rank", ["act", "sharp", "{state}", "--i", "1", "--param", "1"],
+             "error: state file is not a sharp element ('n' is not an integer: '2')"),
+            ("sharp-non-integer-key", ["act", "sharp", "{state}", "--i", "1", "--param", "1"],
+             "error: state file is not a sharp element (key '1,x' is not \"k,j\")"),
+            ("chart-number-coordinate", ["act", "geom-A", "{state}", "--i", "1", "--param", "3"],
+             "error: chart coordinate 1,1 = 6 is not an expression string"),
         ],
         ids=[
             "act-sharp-on-chart-state", "graph-negative-radius", "trop-point-not-json",
@@ -217,6 +232,8 @@ class TestErrorMessages:
             "act-sharp-entries-not-object", "act-chart-coords-not-object",
             "act-chart-state-not-object", "act-sharp-state-not-object", "act-sharp-without-rank",
             "graph-on-chart-state", "act-state-not-json", "graph-root-not-json",
+            "act-sharp-one-index-key", "act-sharp-string-entry", "act-sharp-string-rank",
+            "act-sharp-non-integer-key", "act-chart-number-coordinate",
         ],
     )
     def test_error_message(self, tmp_path, capsys, state, argv, expected):

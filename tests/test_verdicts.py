@@ -8,6 +8,9 @@ evaluation kernels (``RatFun.eval``, the crystal operators, the batched
 tropical checks) must leave every check, verdict and counterexample
 unchanged; a failure names the suite that differs.  To see what changed,
 print ``"\\n".join(lines(suite))`` on both versions and diff the output.
+
+The witness tests inject one fault per witness shape into the symbolic
+suites and check that a failing report names a location, never a value.
 """
 
 import hashlib
@@ -16,6 +19,7 @@ import json
 import pytest
 
 from geomcrystal import slgroup, verify
+from geomcrystal.ratfun import Q, RatFun
 from geomcrystal.verify import run_suite
 
 SEEDS = (31001, 7)
@@ -49,9 +53,14 @@ def test_verdicts_unchanged(suite):
     assert digest(suite) == DIGESTS[suite], f"verdicts of suite {suite!r} differ"
 
 
+def _witnesses(reports) -> dict:
+    return {r.check: r.counterexample for r in reports}
+
+
 def test_matrix_witness_is_one_based(monkeypatch):
-    """A matrix check names its first differing entry 1-based, as the
-    identity witnesses of ``slgroup`` do."""
+    """A check that fails names where: a matrix entry, a torus diagonal
+    slot or a chart coordinate, each 1-based.  One fault is injected per
+    witness shape, on one side of each identity."""
     gauss = slgroup.crystal_act_gauss
 
     def perturbed(i, c, u):
@@ -63,3 +72,79 @@ def test_matrix_witness_is_one_based(monkeypatch):
     reports = verify.prop43_reports(2)
     assert reports and not any(r.holds for r in reports)
     assert all(r.counterexample == {"entry": [2, 1]} for r in reports)
+
+    relation = slgroup.rank2_relation
+
+    def perturbed_rhs(i, j, act, x):
+        lhs, rhs = relation(i, j, act, x)
+        if isinstance(rhs, slgroup.MatRF):
+            rhs.rows[1][0] = rhs.rows[1][0] + 1
+        else:
+            rhs.coords[(1, 2)] = rhs.coords[(1, 2)] + 1
+        return lhs, rhs
+
+    with monkeypatch.context() as m:
+        m.setattr(slgroup, "rank2_relation", perturbed_rhs)
+        assert _witnesses(verify.verma_reports(2)) == {
+            "braid(e_1, e_2) at n=2": {"entry": [2, 1]},
+            "ratio-chart braid(e_1, e_2) at n=2": {"coordinate": [1, 2]},
+        }
+
+    act = slgroup.crystal_act
+
+    def perturbed_act(i, c, u):
+        out = act(i, c, u)
+        out.rows[1][0] = out.rows[1][0] + 1  # phi_1, hence corner minor 1
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(slgroup, "crystal_act", perturbed_act)
+        assert _witnesses(verify.axiom_reports(1)) == {
+            "unit action e^1=id (i=1) at n=1": {"entry": [2, 1]},
+            "weight equivariance (i=1) at n=1": {"diagonal": 1},
+            "one-parameter law (i=1) at n=1": {"entry": [2, 1]},
+        }
+
+    decompose = slgroup.gauss_decompose
+
+    def perturbed_torus(g):
+        f = decompose(g)
+        diag = list(f.torus.diag)
+        diag[1] = diag[1] + 1
+        return slgroup.GaussFactors(f.lower, slgroup.TorusElem(diag), f.upper)
+
+    with monkeypatch.context() as m:
+        m.setattr(slgroup, "gauss_decompose", perturbed_torus)
+        assert _witnesses(verify.umorphism_reports(1)) == {
+            "embed-equivariance(i=1) at n=1": {"entry": [2, 2]},
+            "torus-compatibility(i=1) at n=1": {"diagonal": 2},
+        }
+
+
+def _strings(witness, key=None):
+    """(key, text) of every string value in a witness, at any depth."""
+    if isinstance(witness, dict):
+        for k, v in witness.items():
+            yield from _strings(v, k)
+    elif isinstance(witness, list):
+        for v in witness:
+            yield from _strings(v, key)
+    elif isinstance(witness, str):
+        yield key, witness
+
+
+@pytest.mark.parametrize("fault", [False, True], ids=["sound", "every-symbolic-check-fails"])
+def test_witness_is_a_location(monkeypatch, fault):
+    """A report fails exactly when it carries a witness, and no witness
+    holds the text of a rational function: its strings are only formula
+    names, reasons and rational coordinates of an evaluation point."""
+    if fault:
+        monkeypatch.setattr(RatFun, "__eq__", lambda self, other: False)
+    reports = run_suite("all", 2)
+    assert len(reports) == 44
+    assert fault == any(not r.holds for r in reports)
+    for r in reports:
+        assert r.holds == (r.counterexample is None), r.check
+        for key, text in _strings(r.counterexample):
+            if key not in ("formula", "reason"):
+                Q(text)  # a ValueError here means the witness holds an expression
