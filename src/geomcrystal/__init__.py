@@ -19,7 +19,7 @@ from .slgroup import (
 )
 from .charts import TorusPointA, TorusPointB
 from .gyt import SharpElement, Tableau, etilde, ftilde, stilde
-from .ud import TropExpr, TropMap, chart_to_sharp, degree_oracle, tropicalize, ud_map
+from .ud import TropExpr, chart_to_sharp, degree_oracle, tropicalize
 
 __version__ = "0.1.0"
 
@@ -48,10 +48,8 @@ __all__ = [
     "ftilde",
     "stilde",
     "TropExpr",
-    "TropMap",
     "chart_to_sharp",
     "degree_oracle",
     "tropicalize",
-    "ud_map",
     "__version__",
 ]

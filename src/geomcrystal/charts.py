@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from .ratfun import RatFun, as_int, as_ratfun, parse, state_fields, var
+from .ratfun import RatFun, as_rank, as_ratfun, check_direction, parse, state_fields, var
 from .slgroup import MatRF, TorusElem, coroot, factored_unipotent, symbolic_lower_coords
 
 
@@ -78,7 +78,7 @@ class _ChartPoint:
     __slots__ = ("n", "coords")
 
     def __init__(self, n: int, coords: Mapping):
-        n = as_int(n)
+        n = as_rank(n)
         expected = set(index_pairs(n))
         coords = {key: as_ratfun(val) for key, val in coords.items()}
         if set(coords) != expected:
@@ -91,11 +91,6 @@ class _ChartPoint:
     @classmethod
     def symbolic(cls, n: int):
         return cls(n, symbolic_lower_coords(n, cls.chart))
-
-    def _direction(self, i: int) -> int:
-        if not 1 <= i <= self.n:
-            raise IndexError(f"direction {i} out of range 1..{self.n}")
-        return i
 
     def _moved(self, rules: Mapping) -> "_ChartPoint":
         """The point of a crystal action: each column j named in
@@ -173,7 +168,7 @@ class TorusPointA(_ChartPoint):
     def act(self, i: int, alpha) -> "TorusPointA":
         """Closed-form crystal action: columns i-1, i, i+1 are rescaled
         by consecutive mixing ratios, everything else is fixed."""
-        coeff = factor_act_coefficients(self._direction(i), self.coords, as_ratfun(alpha))
+        coeff = factor_act_coefficients(check_direction(i, self.n), self.coords, as_ratfun(alpha))
         return self._moved({
             i - 1: lambda k, value: coeff[k] * value,
             i: lambda k, value: value / (coeff[k - 1] * coeff[k]),
@@ -201,6 +196,9 @@ def ratio_act_coefficients(i: int, coords: Mapping, alpha) -> list:
 
 
 def ratio_act_coefficient(i: int, k: int, coords: Mapping, alpha) -> RatFun:
+    """The k-th mixing ratio of the ratio-chart action in direction i;
+    the rank is the largest column of ``coords``."""
+    check_direction(i, max(j for _, j in coords))
     if not 1 <= k <= i:
         raise IndexError(f"mixing ratio index {k} out of range 1..{i}")
     return ratio_act_coefficients(i, coords, alpha)[k - 1]
@@ -215,7 +213,7 @@ class TorusPointB(_ChartPoint):
     def act(self, i: int, alpha) -> "TorusPointB":
         """Closed-form crystal action: column i-1 is multiplied by the
         mixing ratios, column i is divided by them, all else fixed."""
-        coeff = ratio_act_coefficients(self._direction(i), self.coords, as_ratfun(alpha))
+        coeff = ratio_act_coefficients(check_direction(i, self.n), self.coords, as_ratfun(alpha))
         return self._moved({
             i - 1: lambda k, value: coeff[k - 1] * value,
             i: lambda k, value: value / coeff[k - 1],

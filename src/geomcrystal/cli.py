@@ -163,12 +163,11 @@ def cmd_trop(args) -> int:
         components, order = [("expr", f)], None
     else:
         components, order = _named_formula(args)
-    tmap = ud.ud_map(components, vars=order)
-    values = tmap.eval(point)
+    values = {name: ud.tropicalize(f, order).eval(point) for name, f in components}
     if args.json:
-        _print(json.dumps({name: val for name, val in zip(tmap.names, values)}))
+        _print(json.dumps(values))
     else:
-        for name, val in zip(tmap.names, values):
+        for name, val in values.items():
             _print(f"{name} = {val}")
     return 0
 

@@ -3,8 +3,10 @@
 An element is an integer point (B_{k,j}) indexed by 1 <= k < j <= n+1;
 diagonal slots are never stored, and updates addressed to them are
 discarded.  Kashiwara operators, their closed-form signed power, the Weyl
-involutions, and a classical-tableau tensor-rule oracle (via the arabic
-reading word into the box crystal) are provided.
+involutions, and a classical-tableau tensor-rule oracle are provided.  The
+oracle reads a tableau's arabic word into the box crystal and raises it by
+the bracket (signature) rule, so it shares no code with the two-max
+formula behind the closed power it checks.
 
 The k-th column datum b_k sums the first k entries of column i+1 minus
 the first k-1 entries of column i; epsilon is the maximum of these, and
@@ -20,7 +22,7 @@ import random
 from itertools import accumulate
 from typing import Mapping, Sequence
 
-from .ratfun import as_int, state_fields
+from .ratfun import as_int, as_rank, check_direction, state_fields
 
 
 class Annihilated(Exception):
@@ -38,7 +40,7 @@ class SharpElement:
     __slots__ = ("n", "entries")
 
     def __init__(self, n: int, entries: Mapping):
-        n = as_int(n)
+        n = as_rank(n)
         expected = sharp_pairs(n)
         entries = {key: as_int(val) for key, val in entries.items()}
         unknown = set(entries) - set(expected)
@@ -63,7 +65,7 @@ class SharpElement:
     @classmethod
     def random(cls, n: int, rng: random.Random) -> "SharpElement":
         """Every entry drawn uniformly from -10..10."""
-        n = as_int(n)
+        n = as_rank(n)
         return cls._trusted(n, {key: rng.randint(-10, 10) for key in sharp_pairs(n)})
 
     def b(self, k: int, j: int) -> int:
@@ -104,7 +106,7 @@ class SharpElement:
 
 def bvals(i: int, v: SharpElement) -> tuple:
     """Column data (b_1, ..., b_i) for direction i."""
-    _check_direction(i, v.n)
+    check_direction(i, v.n)
     out = []
     acc = 0
     for k in range(1, i + 1):
@@ -113,11 +115,6 @@ def bvals(i: int, v: SharpElement) -> tuple:
         if k < i:
             acc -= v.entries[(k, i)]
     return tuple(out)
-
-
-def _check_direction(i: int, n: int):
-    if not 1 <= i <= n:
-        raise IndexError(f"direction {i} out of range 1..{n}")
 
 
 def epsilon(i: int, v: SharpElement) -> int:
@@ -142,7 +139,7 @@ def weight(v: SharpElement) -> tuple:
 def weight_pairing(i: int, v: SharpElement) -> int:
     """<h_i, wt(v)> through the tridiagonal Cartan pairing: only w_{i-1},
     w_i and w_{i+1} are summed."""
-    _check_direction(i, v.n)
+    check_direction(i, v.n)
     total = 2 * _weight_coefficient(i, v)
     if i >= 2:
         total -= _weight_coefficient(i - 1, v)
@@ -398,61 +395,42 @@ def rowcounts_from_word(word: Sequence[int], shape: Sequence[int], n: int) -> Sh
     return SharpElement(n, entries)
 
 
-def _box_epsilon(i: int, letter: int) -> int:
-    return 1 if letter == i + 1 else 0
-
-
-def _box_pairing(i: int, letter: int) -> int:
-    if letter == i:
-        return 1
-    if letter == i + 1:
-        return -1
-    return 0
+def _unmatched(i: int, word: Sequence[int]) -> list:
+    """Positions of the letters i+1 that no earlier letter i brackets,
+    in word order."""
+    open_i = 0
+    out = []
+    for pos, letter in enumerate(word):
+        if letter == i:
+            open_i += 1
+        elif letter == i + 1:
+            if open_i:
+                open_i -= 1
+            else:
+                out.append(pos)
+    return out
 
 
 def tensor_e_pow(i: int, beta: int, word: Sequence[int]) -> tuple:
     """beta-fold raising operator on a box word via the tensor rule.
 
-    Each letter is one tensor factor; the per-factor powers come from the
-    two-max formula on the running data b_k.  Raises :class:`Annihilated`
-    if any factor would be raised out of the box crystal.
+    Signature rule: the last ``beta`` unbracketed letters i+1 become i.
+    Raises :class:`Annihilated` if fewer than ``beta`` are unbracketed.
     """
     beta = as_int(beta)
     if beta < 0:
         raise ValueError("negative power is not defined on box words")
-    word = tuple(as_int(w) for w in word)
-    if beta == 0:
-        return word
-    out = []
-    applied = 0
-    for letter, c_k in zip(word, two_max_amounts(beta, _word_data(i, word))):
-        if c_k == 0:
-            out.append(letter)
-        elif c_k == 1 and letter == i + 1:
-            out.append(i)
-            applied += 1
-        else:
-            raise Annihilated(
-                f"raising power {beta} in direction {i} leaves the box-word crystal"
-            )
-    if applied != beta:
+    word = [as_int(w) for w in word]
+    free = _unmatched(i, word)
+    if len(free) < beta:
         raise Annihilated(
             f"raising power {beta} in direction {i} leaves the box-word crystal"
         )
-    return tuple(out)
-
-
-def _word_data(i: int, word: Sequence[int]) -> list:
-    """Running data b_k of a box word: epsilon of letter k minus the
-    pairings of the letters before it."""
-    bs = []
-    pairing_before = 0
-    for letter in word:
-        bs.append(_box_epsilon(i, letter) - pairing_before)
-        pairing_before += _box_pairing(i, letter)
-    return bs
+    for pos in free[len(free) - beta:]:
+        word[pos] = i
+    return tuple(word)
 
 
 def word_epsilon(i: int, word: Sequence[int]) -> int:
     """Largest raising power applicable to a box word."""
-    return max([0, *_word_data(i, word)])
+    return len(_unmatched(i, word))

@@ -94,6 +94,21 @@ def as_int(value) -> int:
     return operator.index(value)
 
 
+def as_rank(n) -> int:
+    """``n`` as an exact integer rank, at least 1."""
+    n = as_int(n)
+    if n < 1:
+        raise ValueError(f"rank must be at least 1, got {n}")
+    return n
+
+
+def check_direction(i: int, n: int) -> int:
+    """``i`` itself when it is a direction 1..n of the rank-n crystal."""
+    if not 1 <= i <= n:
+        raise IndexError(f"direction {i} out of range 1..{n}")
+    return i
+
+
 def state_fields(data, what: str, field: str) -> tuple:
     """(n, {(k, j): value}) of a state document: a JSON object with an
     integer ``n`` and an object-valued ``field`` keyed by ``"k,j"``.

@@ -32,6 +32,7 @@ from .ratfun import (
     CVar,
     RatFun,
     as_int,
+    as_rank,
     cert_variables,
 )
 
@@ -349,35 +350,6 @@ def _collapse(degrees: tuple, coeffs: list):
     return max((d for d, s in sums.items() if s), default=None)
 
 
-class TropMap:
-    """Componentwise tropicalized map between co-character lattices."""
-
-    __slots__ = ("vars", "names", "components")
-
-    def __init__(self, vars: tuple, names: tuple, components: tuple):
-        self.vars = tuple(vars)
-        self.names = tuple(names)
-        self.components = tuple(components)
-
-    def eval(self, point) -> tuple:
-        """Every component at one point over :attr:`vars`, which they all share."""
-        return tuple(e.eval(point) for e in self.components)
-
-    def __repr__(self) -> str:
-        return f"TropMap({len(self.vars)} -> {len(self.components)})"
-
-
-def ud_map(components, vars: tuple | None = None) -> TropMap:
-    """Tropicalize a named family of certified values over a shared
-    domain.  ``components`` is a sequence of (name, RatFun) pairs; by
-    default the domain is the union of their variables, sorted."""
-    items = list(components)
-    if vars is None:
-        vars = tuple(sorted({v for _, f in items for v in tropicalize(f).vars}))
-    exprs = tuple(tropicalize(f, vars) for _, f in items)
-    return TropMap(vars, tuple(name for name, _ in items), exprs)
-
-
 # ---------------------------------------------------------------------------
 # identification of the chart lattice with the tableau lattice
 
@@ -385,7 +357,7 @@ def ud_map(components, vars: tuple | None = None) -> TropMap:
 def chart_to_sharp(n: int, values: Mapping) -> SharpElement:
     """Send the chart coordinate (k, j), 1 <= k <= j <= n, to the stored
     slot (k, j+1) of the free crystal (the index shift j -> j+1)."""
-    n = as_int(n)
+    n = as_rank(n)
     entries = dict.fromkeys(sharp_pairs(n), 0)
     for (k, j), val in values.items():
         if not 1 <= k <= j <= n:

@@ -22,7 +22,7 @@ import time
 from dataclasses import dataclass
 
 from . import charts, gyt, slgroup, ud
-from .ratfun import Q, RatFun, var
+from .ratfun import Q, RatFun, as_rank, var
 
 DEFAULT_SEED = 31001
 POSITIVITY_POINTS = 100  # seeded evaluation points per positivity check
@@ -425,8 +425,9 @@ def run_suite(suite: str, n: int, seed: int = DEFAULT_SEED, cap: int | None = No
     """Run a named suite at rank n; reports come back sorted by check name."""
     if suite not in SUITE_NAMES:
         raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(SUITE_NAMES)}")
-    if n < 1:
-        raise ValueError("rank must be at least 1")
+    n = as_rank(n)
+    if cap is not None and cap < 1:
+        raise ValueError(f"cap must be at least 1, got {cap}")
     suites = SUITE_NAMES[:-1] if suite == "all" else (suite,)
     reports = []
     for name in suites:
@@ -438,6 +439,11 @@ def run_suite(suite: str, n: int, seed: int = DEFAULT_SEED, cap: int | None = No
                 f"suite {name!r} is capped at n={limit} (override with a higher cap)"
             )
         reports.extend(_SUITE_FUNCS[name](n, seed))
+    if not reports:
+        raise ValueError(
+            f"every suite is capped below n={n}, so 'all' runs no check "
+            "(override with a higher cap)"
+        )
     reports.sort(key=lambda r: r.check)
     return reports
 

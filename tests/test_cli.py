@@ -176,6 +176,9 @@ BAD_STATES = {
     "sharp-string-rank": json.dumps({"n": "2", "B": {}}),
     "sharp-non-integer-key": json.dumps({"n": 1, "B": {"1,x": 1}}),
     "chart-number-coordinate": json.dumps({"n": 1, "chart": "A", "coords": {"1,1": 6}}),
+    "sharp-rank-zero": json.dumps({"n": 0, "B": {}}),
+    "sharp-negative-rank": json.dumps({"n": -2, "B": {}}),
+    "chart-rank-zero": json.dumps({"n": 0, "chart": "A", "coords": {}}),
 }
 
 
@@ -225,6 +228,34 @@ class TestErrorMessages:
              "error: state file is not a sharp element (key '1,x' is not \"k,j\")"),
             ("chart-number-coordinate", ["act", "geom-A", "{state}", "--i", "1", "--param", "3"],
              "error: chart coordinate 1,1 = 6 is not an expression string"),
+            (None, ["verify", "all", "--n", "8"],
+             "error: every suite is capped below n=8, so 'all' runs no check "
+             "(override with a higher cap)"),
+            (None, ["verify", "all", "--n", "8", "--json"],
+             "error: every suite is capped below n=8, so 'all' runs no check "
+             "(override with a higher cap)"),
+            (None, ["verify", "all", "--n", "1", "--cap", "0"], "error: cap must be at least 1, got 0"),
+            (None, ["verify", "verma", "--n", "2", "--cap", "-5"],
+             "error: cap must be at least 1, got -5"),
+            (None, ["verify", "verma", "--n", "0"], "error: rank must be at least 1, got 0"),
+            ("sharp-rank-zero", ["graph", "{state}", "--radius", "1", "--out", "{state}.dot"],
+             "error: rank must be at least 1, got 0"),
+            ("sharp-negative-rank", ["graph", "{state}", "--radius", "1", "--out", "{state}.dot"],
+             "error: rank must be at least 1, got -2"),
+            ("sharp-negative-rank", ["act", "sharp", "{state}", "--i", "1", "--param", "1"],
+             "error: rank must be at least 1, got -2"),
+            ("chart-rank-zero", ["act", "geom-A", "{state}", "--i", "1", "--param", "3"],
+             "error: rank must be at least 1, got 0"),
+            (None, ["trop", "--formula", "gammaA", "--n", "0", "--point", "{{}}"],
+             "error: rank must be at least 1, got 0"),
+            (None, ["trop", "--formula", "xi", "--n", "-1", "--point", "{{}}"],
+             "error: rank must be at least 1, got -1"),
+            (None, ["trop", "--formula", "alpha_ik", "--n", "2", "--i", "3", "--k", "1",
+                    "--point", "{{}}"],
+             "error: direction 3 out of range 1..2"),
+            (None, ["trop", "--formula", "alpha_ik", "--n", "2", "--i", "0", "--k", "1",
+                    "--point", "{{}}"],
+             "error: direction 0 out of range 1..2"),
         ],
         ids=[
             "act-sharp-on-chart-state", "graph-negative-radius", "trop-point-not-json",
@@ -234,6 +265,11 @@ class TestErrorMessages:
             "graph-on-chart-state", "act-state-not-json", "graph-root-not-json",
             "act-sharp-one-index-key", "act-sharp-string-entry", "act-sharp-string-rank",
             "act-sharp-non-integer-key", "act-chart-number-coordinate",
+            "verify-all-above-every-cap", "verify-all-above-every-cap-json",
+            "verify-cap-zero", "verify-negative-cap", "verify-rank-zero",
+            "graph-rank-zero", "graph-negative-rank", "act-sharp-negative-rank",
+            "act-chart-rank-zero", "trop-gamma-rank-zero", "trop-xi-negative-rank",
+            "trop-alpha-direction-above-rank", "trop-alpha-direction-zero",
         ],
     )
     def test_error_message(self, tmp_path, capsys, state, argv, expected):

@@ -1,9 +1,11 @@
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from geomcrystal import gyt
 from geomcrystal.gyt import (
     Annihilated,
     SharpElement,
@@ -238,7 +240,73 @@ class TestTableaux:
             assert rowcounts_from_word(word, t.shape, n) == tableau_rowcounts(t, n)
 
 
+def _running_data(i, word):
+    """Running data b_k of a box word: epsilon of letter k (1 for i+1)
+    minus the pairings of the letters before it (+1 for i, -1 for i+1)."""
+    bs, before = [], 0
+    for letter in word:
+        bs.append(int(letter == i + 1) - before)
+        before += int(letter == i) - int(letter == i + 1)
+    return bs
+
+
+def _two_max_epsilon(i, word):
+    return max([0, *_running_data(i, word)])
+
+
+def _two_max_e_pow(i, beta, word):
+    """The two-max box-word rule, a reference for the bracket rule: each
+    letter is one tensor factor, raised by the two-max amount of the
+    running data; :class:`Annihilated` when a factor leaves the box
+    crystal."""
+    if beta == 0:
+        return tuple(word)
+    out = []
+    for letter, c_k in zip(word, two_max_amounts(beta, _running_data(i, word))):
+        if c_k == 0:
+            out.append(letter)
+        elif c_k == 1 and letter == i + 1:
+            out.append(i)
+        else:
+            return Annihilated
+    return tuple(out) if sum(a != b for a, b in zip(word, out)) == beta else Annihilated
+
+
+def _bracket_e_pow(i, beta, word):
+    try:
+        return tensor_e_pow(i, beta, word)
+    except Annihilated:
+        return Annihilated
+
+
+def _assert_bracket_rule_is_two_max_rule(max_length):
+    """Every word over 1..4 up to ``max_length`` letters, i in 1..3 and
+    beta in 0..epsilon+2."""
+    for length in range(max_length + 1):
+        for word in itertools.product(range(1, 5), repeat=length):
+            for i in (1, 2, 3):
+                eps = _two_max_epsilon(i, word)
+                assert word_epsilon(i, word) == eps, (i, word)
+                for beta in range(eps + 3):
+                    assert _bracket_e_pow(i, beta, word) == _two_max_e_pow(i, beta, word), (
+                        i, beta, word,
+                    )
+
+
 class TestBoxWords:
+    def test_bracket_rule_equals_two_max_rule(self):
+        _assert_bracket_rule_is_two_max_rule(6)
+
+    def test_bracket_rule_does_not_use_two_max(self, monkeypatch):
+        """The oracle shares no code with the closed power formula it
+        checks: with ``gyt.two_max_amounts`` broken, it still agrees."""
+
+        def broken(beta, bs):
+            raise AssertionError("the box-word oracle called two_max_amounts")
+
+        monkeypatch.setattr(gyt, "two_max_amounts", broken)
+        _assert_bracket_rule_is_two_max_rule(5)
+
     def test_single_box_raising(self):
         assert tensor_e_pow(1, 1, (2,)) == (1,)
 

@@ -33,7 +33,6 @@ from geomcrystal.ud import (
     degree_oracle_many,
     tmax,
     tropicalize,
-    ud_map,
 )
 
 x, y, z3 = var("x"), var("y"), var("z")
@@ -347,7 +346,7 @@ class TestBatchEval:
     )
     def test_bad_point_in_a_batch(self, bad, error):
         """A bad point raises the same error alone, in a batch, and through
-        a map over the same variables; a wrong point names the missing
+        another expression over the same variables; a wrong point names the missing
         coordinates or both lengths."""
         e = tropicalize(x + y)
         with pytest.raises(error) as single:
@@ -356,7 +355,7 @@ class TestBatchEval:
             e.eval_many([(0, 0), bad, (1, 1)])
         assert str(batch.value) == str(single.value)
         with pytest.raises(error) as mapped:
-            ud_map([("x", x), ("y", y)], vars=("x", "y")).eval(bad)
+            tropicalize(y, ("x", "y")).eval(bad)
         assert str(mapped.value) == str(single.value)
         if error is ValueError:
             assert str(single.value) in (
@@ -426,31 +425,29 @@ class TestFunctoriality:
         rng = random.Random(606 + n)
         p = TorusPointA.symbolic(n)
         order = tuple(f"a[{k},{j}]" for (k, j) in index_pairs(n))
-        forward = ud_map(
-            [(f"{k},{j}", p.to_ratio().coords[(k, j)]) for (k, j) in index_pairs(n)],
-            vars=order,
-        )
+        ratio = p.to_ratio()
+        forward = [tropicalize(ratio.coords[key], order) for key in index_pairs(n)]
         q = TorusPointB.symbolic(n)
         border = tuple(f"A[{k},{j}]" for (k, j) in index_pairs(n))
-        backward = ud_map(
-            [(f"{k},{j}", q.to_factor().coords[(k, j)]) for (k, j) in index_pairs(n)],
-            vars=border,
-        )
+        factor = q.to_factor()
+        backward = [tropicalize(factor.coords[key], border) for key in index_pairs(n)]
         for _ in range(150):
             pt = tuple(rng.randint(-8, 8) for _ in index_pairs(n))
-            assert backward.eval(forward.eval(pt)) == pt
+            image = tuple(e.eval(pt) for e in forward)
+            assert tuple(e.eval(image) for e in backward) == pt
 
     def test_identity_map(self):
-        m = ud_map([("x", x), ("y", y)], vars=("x", "y"))
-        assert m.eval((4, -7)) == (4, -7)
+        exprs = [tropicalize(f, ("x", "y")) for f in (x, y)]
+        assert tuple(e.eval((4, -7)) for e in exprs) == (4, -7)
 
     def test_weight_map_is_linear_sum(self):
         n = 2
         q = TorusPointB.symbolic(n)
-        m = ud_map([(f"w{i}", q.weight_component(i)) for i in (1, 2)])
+        order = ("A[1,1]", "A[1,2]", "A[2,2]")
+        exprs = [tropicalize(q.weight_component(i), order) for i in (1, 2)]
         # at the hand point B12=2, B13=1, B23=3 under the index shift
         point = {"A[1,1]": 2, "A[1,2]": 1, "A[2,2]": 3}
-        assert m.eval(point) == (-3, -4)
+        assert tuple(e.eval(point) for e in exprs) == (-3, -4)
 
 
 class TestChartSharpIdentification:
