@@ -14,6 +14,7 @@ is a fresh symbol named ``z`` when not supplied numerically.
 
 from __future__ import annotations
 
+from functools import reduce
 from typing import Mapping, Sequence
 
 from .ratfun import RatFun, as_rank, as_ratfun, check_direction, parse, state_fields, var
@@ -35,39 +36,35 @@ def coordinate_names(n: int, chart: str) -> tuple:
     return tuple(x.variables[0] for x in symbolic_lower_coords(n, chart).values())
 
 
-def _sum(values) -> RatFun:
+def _sum(values, add=RatFun.__add__) -> RatFun:
     values = list(values)
     if not values:
         raise ValueError("empty sum has no subtraction-free form")
-    total = values[0]
-    for v in values[1:]:
-        total = total + v
-    return total
+    return reduce(add, values)
 
 
-def _prod(values) -> RatFun:
-    total = RatFun.const(1)
-    for v in values:
-        total = total * v
-    return total
+def _prod(values, mul=RatFun.__mul__) -> RatFun:
+    return reduce(mul, values, RatFun.const(1))
 
 
-def _mixed_sum(column: Sequence, k: int, alpha) -> RatFun:
+def _mixed_sum(column: Sequence, k: int, alpha, add=RatFun.__add__, mul=RatFun.__mul__) -> RatFun:
     """alpha times the sum of the first k entries plus the sum of the
-    rest; an empty part drops out."""
+    rest; an empty part drops out.  ``add`` and ``mul`` are the
+    arithmetic: the plain operators, or the reduced ones of the ratio
+    chart."""
     head, tail = column[:k], column[k:]
     if not head:
-        return _sum(tail)
-    total = _sum(head) * alpha
-    return total + _sum(tail) if tail else total
+        return _sum(tail, add)
+    total = mul(_sum(head, add), alpha)
+    return add(total, _sum(tail, add)) if tail else total
 
 
 def _column_ratio(coords: Mapping, k: int, j: int) -> RatFun:
     """prod_{l<=k} A_{l,j} / prod_{l<=k-1} A_{l,j-1}: a factor-chart
-    coordinate in ratio coordinates."""
-    num = _prod(coords[(l, j)] for l in range(1, k + 1))
-    den = _prod(coords[(l, j - 1)] for l in range(1, k))
-    return num / den
+    coordinate in ratio coordinates, reduced when the coordinates are."""
+    num = _prod((coords[(l, j)] for l in range(1, k + 1)), RatFun.reduced_mul)
+    den = _prod((coords[(l, j - 1)] for l in range(1, k)), RatFun.reduced_mul)
+    return num.reduced_div(den)
 
 
 class _ChartPoint:
@@ -150,7 +147,8 @@ class _ChartPoint:
 def factor_act_coefficients(i: int, coords: Mapping, alpha) -> list:
     """The column-i mixing ratios mix(k)/mix(0) of the factor-chart
     action at index k, 0 <= k <= i; they are 1 at k = 0 and alpha at
-    k = i."""
+    k = i; the rank is the largest column of ``coords``."""
+    check_direction(i, max(j for _, j in coords))
     column = [coords[(l, i)] for l in range(1, i + 1)]
     mix = [_mixed_sum(column, k, alpha) for k in range(i + 1)]
     return [RatFun.const(1)] + [m / mix[0] for m in mix[1:]]
@@ -168,7 +166,7 @@ class TorusPointA(_ChartPoint):
     def act(self, i: int, alpha) -> "TorusPointA":
         """Closed-form crystal action: columns i-1, i, i+1 are rescaled
         by consecutive mixing ratios, everything else is fixed."""
-        coeff = factor_act_coefficients(check_direction(i, self.n), self.coords, as_ratfun(alpha))
+        coeff = factor_act_coefficients(i, self.coords, as_ratfun(alpha))
         return self._moved({
             i - 1: lambda k, value: coeff[k] * value,
             i: lambda k, value: value / (coeff[k - 1] * coeff[k]),
@@ -189,19 +187,24 @@ class TorusPointA(_ChartPoint):
 def ratio_act_coefficients(i: int, coords: Mapping, alpha) -> list:
     """The mixing ratios mix(k)/mix(k-1) of the ratio-chart action at
     index k - 1, 1 <= k <= i: alpha-weighted sums of the column ladder
-    products, which are the factor-chart coordinates of column i."""
+    products, which are the factor-chart coordinates of column i; the
+    rank is the largest column of ``coords``."""
+    check_direction(i, max(j for _, j in coords))
     ladders = [_column_ratio(coords, j, i) for j in range(1, i + 1)]
-    mix = [_mixed_sum(ladders, k, alpha) for k in range(i + 1)]
-    return [mix[k] / mix[k - 1] for k in range(1, i + 1)]
+    mix = [
+        _mixed_sum(ladders, k, alpha, RatFun.reduced_add, RatFun.reduced_mul)
+        for k in range(i + 1)
+    ]
+    return [mix[k].reduced_div(mix[k - 1]) for k in range(1, i + 1)]
 
 
 def ratio_act_coefficient(i: int, k: int, coords: Mapping, alpha) -> RatFun:
     """The k-th mixing ratio of the ratio-chart action in direction i;
     the rank is the largest column of ``coords``."""
-    check_direction(i, max(j for _, j in coords))
+    coeffs = ratio_act_coefficients(i, coords, alpha)
     if not 1 <= k <= i:
         raise IndexError(f"mixing ratio index {k} out of range 1..{i}")
-    return ratio_act_coefficients(i, coords, alpha)[k - 1]
+    return coeffs[k - 1]
 
 
 class TorusPointB(_ChartPoint):
@@ -213,10 +216,10 @@ class TorusPointB(_ChartPoint):
     def act(self, i: int, alpha) -> "TorusPointB":
         """Closed-form crystal action: column i-1 is multiplied by the
         mixing ratios, column i is divided by them, all else fixed."""
-        coeff = ratio_act_coefficients(check_direction(i, self.n), self.coords, as_ratfun(alpha))
+        coeff = ratio_act_coefficients(i, self.coords, as_ratfun(alpha))
         return self._moved({
-            i - 1: lambda k, value: coeff[k - 1] * value,
-            i: lambda k, value: value / coeff[k - 1],
+            i - 1: lambda k, value: coeff[k - 1].reduced_mul(value),
+            i: lambda k, value: value.reduced_div(coeff[k - 1]),
         })
 
     def to_factor(self) -> TorusPointA:

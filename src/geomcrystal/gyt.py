@@ -395,9 +395,10 @@ def rowcounts_from_word(word: Sequence[int], shape: Sequence[int], n: int) -> Sh
     return SharpElement(n, entries)
 
 
-def _unmatched(i: int, word: Sequence[int]) -> list:
-    """Positions of the letters i+1 that no earlier letter i brackets,
-    in word order."""
+def _unmatched(i: int, word: Sequence[int]) -> tuple:
+    """The letters of ``word`` as a list of ints, and the positions of the
+    letters i+1 that no earlier letter i brackets, in word order."""
+    word = [as_int(w) for w in word]
     open_i = 0
     out = []
     for pos, letter in enumerate(word):
@@ -408,7 +409,7 @@ def _unmatched(i: int, word: Sequence[int]) -> list:
                 open_i -= 1
             else:
                 out.append(pos)
-    return out
+    return word, out
 
 
 def tensor_e_pow(i: int, beta: int, word: Sequence[int]) -> tuple:
@@ -420,8 +421,7 @@ def tensor_e_pow(i: int, beta: int, word: Sequence[int]) -> tuple:
     beta = as_int(beta)
     if beta < 0:
         raise ValueError("negative power is not defined on box words")
-    word = [as_int(w) for w in word]
-    free = _unmatched(i, word)
+    word, free = _unmatched(i, word)
     if len(free) < beta:
         raise Annihilated(
             f"raising power {beta} in direction {i} leaves the box-word crystal"
@@ -433,4 +433,4 @@ def tensor_e_pow(i: int, beta: int, word: Sequence[int]) -> tuple:
 
 def word_epsilon(i: int, word: Sequence[int]) -> int:
     """Largest raising power applicable to a box word."""
-    return len(_unmatched(i, word))
+    return len(_unmatched(i, word)[1])

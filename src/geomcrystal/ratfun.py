@@ -2,16 +2,29 @@
 
 A value is a fraction of two multivariate polynomials with integer
 coefficients, kept in canonical expanded form (sorted variables,
-graded-lexicographic term order, no zero terms).  Fractions are *not*
-reduced by polynomial GCD; equality is extensional, decided by cross
-multiplication of the expanded forms.  The only normalization applied is
-cheap bookkeeping: common monomial content is cancelled, unused variables
-are dropped, the joint integer content of numerator and denominator is
-divided out, the graded-lexicographically leading coefficient of the
-denominator is made positive, and structurally identical factors cancel
-across a product or quotient.  This keeps the representation
-deterministic and printable bit-stably; the printed form divides through
-by that leading coefficient, so it shows a monic denominator.
+graded-lexicographic term order, no zero terms).  Equality is
+extensional, decided by cross multiplication of the expanded forms, so a
+fraction need not be in lowest terms.  The normalization every value gets
+is cheap bookkeeping: common monomial content is cancelled, unused
+variables are dropped, the joint integer content of numerator and
+denominator is divided out, the graded-lexicographically leading
+coefficient of the denominator is made positive, and structurally
+identical factors cancel across a product or quotient.  This keeps the
+representation deterministic and printable bit-stably; the printed form
+divides through by that leading coefficient, so it shows a monic
+denominator.
+
+Polynomial GCD cancellation is a separate, explicit step:
+:meth:`RatFun.reduced`, and the operations :meth:`RatFun.reduced_add`,
+:meth:`RatFun.reduced_mul` and :meth:`RatFun.reduced_div`, which cancel
+gcds of the factors before a sum or product is formed (Henrici).  The gcd
+is the heuristic GCDHEU, verified by exact division; when it finds no
+gcd, the value is left as it is, which is always sound.  Only the ratio
+chart calls these, in its action and its change to the factor chart:
+iterated actions otherwise swell to operands of thousands of terms.  The
+plain operators do not reduce, so every value built without them, the
+factor chart's included, keeps the printed form it has always had; some
+of those forms have a nontrivial gcd.
 
 Values built exclusively from variables, positive rational constants,
 ``+``, ``*`` and ``/`` carry a subtraction-free certificate: the
@@ -36,6 +49,7 @@ rejected.
 
 from __future__ import annotations
 
+import heapq
 import math
 import numbers
 import operator
@@ -196,6 +210,11 @@ def _cmul(a, b):
         b.args if isinstance(b, CMul) else (b,)
     )
     return CMul(args)
+
+
+def _joint_cert(make, a, b):
+    """``make(a.cert, b.cert)``, or None unless both values are certified."""
+    return None if a.cert is None or b.cert is None else make(a.cert, b.cert)
 
 
 def cert_variables(node) -> set:
@@ -489,6 +508,156 @@ def _mul_into(out: dict, a: dict, b: dict, negate: bool):
 
 
 # ---------------------------------------------------------------------------
+# exact division and the heuristic gcd, over packed keys of m variables
+
+_HALF = 1 << (_WIDTH - 1)  # exact division needs every field below this
+_GCD_ROUNDS = 6
+
+
+def _exact_quotient(a: dict, b: dict, m: int):
+    """a / b when b divides a exactly over the integers, else None.
+
+    Grlex long division: each step divides the leading term of the
+    remainder, popped from a heap, by the leading term of b.  A monomial
+    quotient is one subtraction with a guard bit set on top of each
+    field: a field that borrows clears its guard, so the monomial does not
+    divide.  That needs every exponent below 2**15; above it the division
+    is not tried and None is returned.
+    """
+    lead, top = max(b), _WIDTH * m
+    if max(a) >> top >= _HALF or lead >> top >= _HALF:
+        return None
+    guard = ((1 << _WIDTH * (m + 1)) - 1) // _MASK * _HALF
+    # the trailing terms must divide as the leading ones do
+    low_a, low_b = min(a), min(b)
+    if ((low_a | guard) - low_b) & guard != guard or a[low_a] % b[low_b]:
+        return None
+    lc = b[lead]
+    rest = [(k, c) for k, c in b.items() if k != lead]
+    r = dict(a)
+    heap = [-k for k in r]
+    heapq.heapify(heap)
+    out: dict = {}
+    while r:
+        k = -heapq.heappop(heap)
+        c = r.pop(k, None)
+        if c is None:  # cancelled, or a duplicate heap entry
+            continue
+        d = (k | guard) - lead
+        qc, rem = divmod(c, lc)
+        if rem or d & guard != guard:
+            return None
+        qk = d ^ guard
+        out[qk] = qc
+        for kb, cb in rest:
+            kk = qk + kb
+            s = r.get(kk)
+            if s is None:
+                r[kk] = -qc * cb
+                heapq.heappush(heap, -kk)
+            elif s == qc * cb:
+                del r[kk]
+            else:
+                r[kk] = s - qc * cb
+    return out
+
+
+def _eval_top(terms: dict, m: int, x: int) -> dict:
+    """Substitute the integer x for the first of m variables."""
+    low = _WIDTH * (m - 1)
+    rest = (1 << low) - 1
+    powers = [1]
+    for _ in range(max(k >> low & _MASK for k in terms)):
+        powers.append(powers[-1] * x)
+    out: dict = {}
+    for k, c in terms.items():
+        e = k >> low & _MASK
+        nk = ((k >> low + _WIDTH) - e) << low | k & rest
+        out[nk] = out.get(nk, 0) + c * powers[e]
+    return {k: c for k, c in out.items() if c}
+
+
+def _interpolate(image: dict, x: int, m: int) -> dict:
+    """Lift an image over the last m - 1 variables back to m variables:
+    each coefficient is written in balanced base-x digits, and digit e is
+    the coefficient of the first variable to the power e."""
+    low = _WIDTH * (m - 1)
+    rest = (1 << low) - 1
+    half = x // 2
+    out: dict = {}
+    for k, c in image.items():
+        deg, e = k >> low, 0
+        while c:
+            digit = c % x
+            if digit > half:
+                digit -= x
+            if digit:
+                out[(deg + e) << low + _WIDTH | e << low | k & rest] = digit
+            c = (c - digit) // x
+            e += 1
+    return out
+
+
+def _heuristic_gcd(a: dict, b: dict, m: int):
+    """(g, a/g, b/g) for the polynomial gcd g of a and b, or None.
+
+    GCDHEU (Char, Geddes & Gonnet, J. Symb. Comp. 1989): substitute an
+    integer xi for the first variable and recurse on the images, down to
+    an integer gcd; interpolate the gcd image (or a cofactor image) from
+    its balanced xi-adic digits and keep it only when it divides both
+    inputs exactly.  At most six values of xi are tried.  A constant gcd
+    image ends the search at once: 1 divides everything.
+    """
+    content = math.gcd(*a.values(), *b.values())
+    if content != 1:
+        a = {k: c // content for k, c in a.items()}
+        b = {k: c // content for k, c in b.items()}
+    na, nb = max(map(abs, a.values())), max(map(abs, b.values()))
+    bound = 2 * min(na, nb) + 29
+    x = max(
+        min(bound, 99 * math.isqrt(bound)),
+        2 * min(na // abs(a[max(a)]), nb // abs(b[max(b)])) + 4,
+    )
+    for _ in range(_GCD_ROUNDS):
+        fa, fb = _eval_top(a, m, x), _eval_top(b, m, x)
+        if fa and fb:
+            if m == 1:
+                g = math.gcd(fa[0], fb[0])
+                image = ({0: g}, {0: fa[0] // g}, {0: fb[0] // g})
+            else:
+                image = _heuristic_gcd(fa, fb, m - 1)
+                if image is None:
+                    return None
+            g = _interpolate(image[0], x, m)
+            if list(g) == [0]:
+                return {0: content}, a, b
+            g_content = math.gcd(*g.values())
+            found = _cofactors(a, b, {k: c // g_content for k, c in g.items()}, m)
+            # else the gcd as a quotient by an interpolated cofactor
+            for side, co in ((a, image[1]), (b, image[2])):
+                if found is None:
+                    g = _exact_quotient(side, _interpolate(co, x, m), m)
+                    found = None if g is None else _cofactors(a, b, g, m)
+            if found is not None:
+                g, qa, qb = found
+                return {k: c * content for k, c in g.items()}, qa, qb
+        x = 73794 * x * math.isqrt(math.isqrt(x)) // 27011
+    return None
+
+
+def _cofactors(a: dict, b: dict, g: dict, m: int):
+    """(g, a/g, b/g) with a positive grlex-leading coefficient of g, when
+    g divides both exactly, else None."""
+    qa = _exact_quotient(a, g, m)
+    qb = None if qa is None else _exact_quotient(b, g, m)
+    if qb is None:
+        return None
+    if g[max(g)] < 0:
+        g, qa, qb = ({k: -c for k, c in t.items()} for t in (g, qa, qb))
+    return g, qa, qb
+
+
+# ---------------------------------------------------------------------------
 # rational functions
 
 
@@ -557,9 +726,7 @@ class RatFun:
 
     def __add__(self, other) -> "RatFun":
         other = as_ratfun(other)
-        cert = None
-        if self.cert is not None and other.cert is not None:
-            cert = _cadd(self.cert, other.cert)
+        cert = _joint_cert(_cadd, self, other)
         if self.den == other.den:  # shared denominator: no cross multiplication
             return RatFun(self.num + other.num, self.den, cert)
         return RatFun(
@@ -584,9 +751,7 @@ class RatFun:
 
     def __mul__(self, other) -> "RatFun":
         other = as_ratfun(other)
-        cert = None
-        if self.cert is not None and other.cert is not None:
-            cert = _cmul(self.cert, other.cert)
+        cert = _joint_cert(_cmul, self, other)
         # structurally equal cross factors cancel without expansion
         if self.den == other.num:
             return RatFun(self.num, other.den, cert)
@@ -600,9 +765,7 @@ class RatFun:
         other = as_ratfun(other)
         if other.is_zero:
             raise ZeroDivisionError("division by the zero rational function")
-        cert = None
-        if self.cert is not None and other.cert is not None:
-            cert = CDiv(self.cert, other.cert)
+        cert = _joint_cert(CDiv, self, other)
         # structurally equal parallel factors cancel without expansion
         if self.den == other.den:
             return RatFun(self.num, other.num, cert)
@@ -622,6 +785,57 @@ class RatFun:
                 raise ZeroDivisionError("negative power of the zero function")
             return RatFun(self.den**-k, self.num**-k, cert)
         return RatFun(self.num**k, self.den**k, cert)
+
+    def reduced(self) -> "RatFun":
+        """This value with num and den divided by their polynomial gcd
+        (:func:`_gcd`), keeping the certificate; ``self`` itself when
+        there is nothing to cancel.  Leaving a value unreduced is always
+        sound: equality is extensional."""
+        found = _gcd(self.num, self.den, self.cert is not None)
+        return self if found is None else RatFun(found[1], found[2], self.cert)
+
+    # Henrici (JACM 1956): on reduced operands, cancelling gcds of the
+    # factors before a product or sum is formed leaves a reduced result,
+    # and never takes the gcd of the large expanded result itself.
+
+    def reduced_add(self, other: "RatFun") -> "RatFun":
+        """``self + other`` with the same certificate: with g the gcd of
+        the denominators b and d, the sum is (a*(d/g) + c*(b/g)) / (b*d/g),
+        and only g can share a factor with that numerator."""
+        cert = _joint_cert(_cadd, self, other)
+        found = _gcd(self.den, other.den, cert is not None)
+        if found is None:
+            return self + other
+        g, b, d = found
+        num = self.num * d + other.num * b
+        found = _gcd(num, g, cert is not None)
+        if found is not None:
+            _, num, g = found
+        return RatFun(num, b * d * g, cert)
+
+    def reduced_mul(self, other: "RatFun") -> "RatFun":
+        """``self * other`` with the same certificate, each numerator
+        cancelled against the other denominator first."""
+        cert = _joint_cert(_cmul, self, other)
+        return self._cross_reduced(other.num, other.den, cert)
+
+    def reduced_div(self, other: "RatFun") -> "RatFun":
+        """``self / other`` with the same certificate, cancelled as
+        :meth:`reduced_mul` cancels."""
+        if other.is_zero:
+            raise ZeroDivisionError("division by the zero rational function")
+        cert = _joint_cert(CDiv, self, other)
+        return self._cross_reduced(other.den, other.num, cert)
+
+    def _cross_reduced(self, num: Poly, den: Poly, cert) -> "RatFun":
+        a, b = self.num, self.den
+        found = _gcd(a, den, cert is not None)
+        if found is not None:
+            _, a, den = found
+        found = _gcd(num, b, cert is not None)
+        if found is not None:
+            _, num, b = found
+        return RatFun(a * num, b * den, cert)
 
     # -- evaluation / substitution -------------------------------------------
 
@@ -757,6 +971,23 @@ def _strip_monomial_content(vars: tuple, nt: dict, dt: dict):
     nt = {k - shift: c for k, c in nt.items()}
     dt = {k - shift: c for k, c in dt.items()}
     return nt, dt
+
+
+def _gcd(a: Poly, b: Poly, positive: bool):
+    """(g, a/g, b/g) for the polynomial gcd g of a and b, or None when
+    either is a monomial (:class:`RatFun` cancels monomial content on its
+    own), g is a constant, the heuristic gcd finds none, an exponent
+    reaches 2**15, or ``positive`` asks for cofactors without a negative
+    coefficient and one has one (as (x^3+1)/(x+1) does)."""
+    if len(a.terms) < 2 or len(b.terms) < 2 or max(a._deg, b._deg) >= _HALF:
+        return None
+    vars, at, bt = a._aligned(b)
+    found = _heuristic_gcd(at, bt, len(vars))
+    if found is None or list(found[0]) == [0]:
+        return None
+    if positive and min(*found[1].values(), *found[2].values()) < 0:
+        return None
+    return tuple(Poly._trusted(vars, t) for t in found)
 
 
 def _check_bound(terms: dict, missing: list):

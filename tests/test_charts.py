@@ -4,8 +4,10 @@ from geomcrystal.charts import (
     TorusPointA,
     TorusPointB,
     crystal_parameter,
+    factor_act_coefficients,
     index_pairs,
     ratio_act_coefficient,
+    ratio_act_coefficients,
 )
 from geomcrystal.ratfun import Q, const, var
 from geomcrystal.slgroup import (
@@ -13,6 +15,7 @@ from geomcrystal.slgroup import (
     coroot,
     crystal_act_gauss,
     phi,
+    rank2_relation,
     torus_weight,
 )
 
@@ -28,6 +31,15 @@ def test_act_direction_out_of_range(cls):
     for i in (0, 3, 5):
         with pytest.raises(IndexError):
             p.act(i, const(3))
+
+
+@pytest.mark.parametrize("coefficients", [factor_act_coefficients, ratio_act_coefficients])
+def test_coefficients_direction_out_of_range(coefficients):
+    # the rank is read off the largest column of the coordinates
+    coords = TorusPointB.symbolic(2).coords
+    for i in (0, 3):
+        with pytest.raises(IndexError, match=f"direction {i} out of range 1..2"):
+            coefficients(i, coords, crystal_parameter())
 
 
 class TestFactorChart:
@@ -125,6 +137,17 @@ class TestRatioChart:
         assert lhs == rhs
         q = TorusPointA.symbolic(3).to_ratio()
         assert q.act(3, c2).act(1, c1) == q.act(1, c1).act(3, c2)
+
+    def test_braid_operands_stay_reduced(self):
+        # both sides of the n=3 (e_2, e_3) braid, built as the verma suite
+        # builds them; unreduced, coordinate (1,2) of the right side has
+        # 8,116/10,023 terms, reduced 25/30
+        q = TorusPointA.symbolic(3).to_ratio()
+        sides = rank2_relation(2, 3, lambda d, c, x: x.act(d, c), q)
+        for side in sides:
+            for value in side.coords.values():
+                assert len(value.num.terms) <= 30 and len(value.den.terms) <= 30
+        assert sides[0] == sides[1]
 
     def test_weight_rank_one(self):
         q = TorusPointB.symbolic(1)

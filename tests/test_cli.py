@@ -53,6 +53,12 @@ class TestVerify:
         assert code == 0
         assert "FAIL" not in out
 
+    def test_verma_at_its_cap(self, capsys):
+        # ten rank-2 pairs at n=5, each in matrix form and in the ratio chart
+        code, out = run(capsys, "verify", "verma", "--n", "5")
+        assert code == 0
+        assert "20/20 checks hold" in out
+
     def test_json_output(self, capsys):
         code, out = run(capsys, "verify", "axioms", "--n", "1", "--json")
         assert code == 0

@@ -464,3 +464,6 @@ class TestIntegerInputs:
         for beta in (1.0, True):
             with pytest.raises(TypeError):
                 tensor_e_pow(1, beta, (2,))
+        for letters in ((2.0, True), (2, 1.0), [True]):
+            with pytest.raises(TypeError):
+                word_epsilon(1, letters)

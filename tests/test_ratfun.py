@@ -15,6 +15,7 @@ from geomcrystal.ratfun import (
     RatFun,
     _decode,
     _encode,
+    _exact_quotient,
     _remap_terms,
     const,
     parse,
@@ -562,3 +563,121 @@ class TestIntegerEval:
         with pytest.raises(TypeError):  # a float before the missing y
             f.eval({"x": 0.5})
         assert x.eval({"x": 2, "w": 0.5}) == 2  # values of other names are not read
+
+
+# ---------------------------------------------------------------------------
+# gcd cancellation, with sympy as the oracle
+
+GCD_NAMES = tuple(f"v{i}" for i in range(6))
+
+
+def _random_poly(rng: random.Random, names: tuple, signed: bool) -> Poly:
+    """A polynomial of 1-4 terms over ``names``, total degree at most 3."""
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        exps = [0] * len(names)
+        for _ in range(rng.randint(0, 3)):
+            exps[rng.randrange(len(names))] += 1
+        c = rng.randint(1, 5) * (rng.choice((1, -1)) if signed else 1)
+        terms[_encode(exps)] = terms.get(_encode(exps), 0) + c
+    return Poly(names, terms)
+
+
+def _positive_value(rng: random.Random, names: tuple) -> RatFun:
+    """A certified polynomial built from variables, positive constants,
+    sums and products."""
+    total = const(rng.randint(1, 4))
+    for _ in range(rng.randint(0, 3)):
+        term = const(rng.randint(1, 3))
+        for _ in range(rng.randint(1, 2)):
+            term = term * var(rng.choice(names))
+        total = total + term
+    return total
+
+
+def _gcd_is_constant(f: RatFun) -> bool:
+    sympy = pytest.importorskip("sympy")
+    num, den = (to_sympy(RatFun(p, Poly.const(1))) for p in (f.num, f.den))
+    return sympy.gcd(num, den).is_number
+
+
+class TestReduced:
+    @pytest.mark.parametrize("signed", [False, True])
+    def test_shared_factor_cancels(self, signed):
+        rng = random.Random(8101 + signed)
+        for case in range(80):
+            names = GCD_NAMES[: rng.randint(1, 6)]
+            f, g, h = (_random_poly(rng, names, signed) for _ in range(3))
+            if case % 8 == 0:
+                h = Poly.const(rng.randint(2, 6), names)  # a constant factor
+            elif case % 8 == 1:
+                h = Poly(names, {_encode([1] + [0] * (len(names) - 1)): 1})  # a monomial
+            if f.is_zero or g.is_zero or h.is_zero:
+                continue
+            value = RatFun(f * h, g * h)
+            result = value.reduced()
+            assert result == value
+            assert _gcd_is_constant(result), (case, str(value), str(result))
+
+    def test_certified_shared_factor(self):
+        rng = random.Random(8103)
+        for _ in range(30):
+            names = GCD_NAMES[: rng.randint(1, 4)]
+            f, g, h = (_positive_value(rng, names) for _ in range(3))
+            value = (f * h) / (g * h)
+            result = value.reduced()
+            assert result == value
+            assert result.cert is value.cert
+            assert _gcd_is_constant(result)
+
+    def test_coprime_value_is_returned_unchanged(self):
+        f = (x**2 + y) / (x + y**2 + 1)
+        assert f.reduced() is f
+        for monomial_side in (x**2 * y / (x + 1), (x + 1) / (x * y)):
+            assert monomial_side.reduced() is monomial_side
+
+    def test_heuristic_failure_returns_the_input(self, monkeypatch):
+        import geomcrystal.ratfun as ratfun
+
+        monkeypatch.setattr(ratfun, "_heuristic_gcd", lambda a, b, m: None)
+        f = (x**2 - y**2) / (x + y)
+        assert f.reduced() is f
+
+    def test_certificate_needs_positive_cofactors(self):
+        f = (x**3 + 1) / (x + 1)  # x^2 - x + 1 would lose the certificate
+        assert f.positive_cert
+        assert f.reduced() is f
+        assert f.reduced().cert is f.cert
+        g = (x**3 - 1 + 2) / (x + 1)  # the same value without a certificate
+        assert not g.positive_cert
+        assert str(g.reduced()) == "x^2 - x + 1"
+
+    def test_large_exponent_skips_the_reduction(self):
+        f = (x**32768 * y + x**32768) / (y + 1)
+        assert f.reduced() is f
+        g = (x**3 * y + x**3) / (y + 1)
+        assert str(g.reduced()) == "x^3"
+
+    def test_exact_quotient(self):
+        def quotient(a, b):
+            return _exact_quotient(a.num.terms, b.num.terms, len(a.variables))
+
+        assert quotient((x + y) * (x - y), x + y) == (x - y).num.terms
+        assert quotient(x**2 + 1, x + 1) is None  # a remainder of 2
+        assert quotient(x**2 + y**2, x + y) is None  # y^2 is no multiple of x
+        assert quotient(2 * x + 2, 2 * x + 1) is None  # 2 is no multiple of 2x
+        assert quotient(x**32768 + x, x) is None  # an exponent at 2**15
+
+    @pytest.mark.parametrize("op", ["add", "mul", "div"])
+    def test_henrici_operations(self, op):
+        plain = {"add": RatFun.__add__, "mul": RatFun.__mul__, "div": RatFun.__truediv__}[op]
+        rng = random.Random(8107)
+        for _ in range(25):
+            names = GCD_NAMES[: rng.randint(1, 4)]
+            f, g, h, k = (_positive_value(rng, names) for _ in range(4))
+            p, q = ((f * h) / (g * h)).reduced(), ((g * k) / (h * k)).reduced()
+            result = getattr(p, f"reduced_{op}")(q)
+            expected = plain(p, q)
+            assert result == expected
+            assert result.cert == expected.cert
+            assert _gcd_is_constant(result)
