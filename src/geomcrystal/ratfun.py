@@ -12,7 +12,9 @@ coefficient of the denominator is made positive, and structurally
 identical factors cancel across a product or quotient.  This keeps the
 representation deterministic and printable bit-stably; the printed form
 divides through by that leading coefficient, so it shows a monic
-denominator.
+denominator.  Multiplying by one, or dividing by it, reuses the other
+operand's normalized num and den as they are, and ``RatFun.const(0)`` and
+``RatFun.const(1)`` return the shared values ``ZERO`` and ``ONE``.
 
 Polynomial GCD cancellation is a separate, explicit step:
 :meth:`RatFun.reduced`, and the operations :meth:`RatFun.reduced_add`,
@@ -49,6 +51,7 @@ rejected.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 import numbers
@@ -60,6 +63,7 @@ from typing import Iterator, Mapping, Sequence
 
 _WIDTH = 16
 _MASK = (1 << _WIDTH) - 1
+_UNIT_TERMS = {0: 1}  # the terms of the constant polynomial 1
 
 
 class PoleError(ArithmeticError):
@@ -249,9 +253,16 @@ def _remap_terms(terms: dict, old: tuple, new: tuple) -> dict:
     """Repack keys over ``old`` as keys over ``new``.  ``new`` may add
     variables (alignment) or drop variables whose exponents are all zero
     (narrowing); the degree field moves to the new top."""
-    if old == new or not terms:
+    if old == new or not terms or not old:  # a constant's only key is 0
         return terms
     plan = _remap_plan(old, new)
+    if len(plan) == 1:
+        # one run from the degree field down: the fields it leaves out or
+        # adds are the lowest ones and all zero, so the key just shifts
+        src, _, dst = plan[0]
+        if src > dst:
+            return {key >> (src - dst): c for key, c in terms.items()}
+        return {key << (dst - src): c for key, c in terms.items()}
     out: dict = {}
     for key, c in terms.items():
         nk = 0
@@ -261,11 +272,13 @@ def _remap_terms(terms: dict, old: tuple, new: tuple) -> dict:
     return out
 
 
-def _remap_plan(old: tuple, new: tuple) -> list:
+@functools.lru_cache(maxsize=512)
+def _remap_plan(old: tuple, new: tuple) -> tuple:
     """(source shift, mask, destination shift) for each maximal run of
     fields that stay adjacent from ``old`` to ``new``.  Field p counts from
     the top: the degree field is p = 0 and the variable at index i is
-    p = i + 1, at shift _WIDTH * (len - p)."""
+    p = i + 1, at shift _WIDTH * (len - p).  Memoized: a computation
+    repacks between few distinct pairs of variable tuples."""
     where = {x: q for q, x in enumerate(new, 1)}
     runs = []
     p0 = q0 = 0  # the top fields of the open run, which starts at the degree
@@ -281,10 +294,10 @@ def _remap_plan(old: tuple, new: tuple) -> list:
             p0, q0, length = p, q, 1
     runs.append((p0, q0, length))
     lo, ln = len(old) + 1, len(new) + 1
-    return [
+    return tuple(
         (_WIDTH * (lo - p - k), (1 << _WIDTH * k) - 1, _WIDTH * (ln - q - k))
         for p, q, k in runs
-    ]
+    )
 
 
 def _support(vars: tuple, *term_dicts) -> tuple:
@@ -424,6 +437,10 @@ class Poly:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly):
             return NotImplemented
+        if self._deg != other._deg or len(self.terms) != len(other.terms):
+            return False
+        if self.vars == other.vars:
+            return self.terms == other.terms
         _, a, b = self._aligned(other)
         return a == b
 
@@ -512,6 +529,12 @@ def _mul_into(out: dict, a: dict, b: dict, negate: bool):
 
 _HALF = 1 << (_WIDTH - 1)  # exact division needs every field below this
 _GCD_ROUNDS = 6
+# GCDHEU's integer images grow with the product of the per-variable degrees,
+# so larger operands are not tried (verify verma at n=5 reaches 1,244 terms
+# and a degree box of 691,200; the ratio-chart (5,6) relation at n=6, 3,284
+# and 8,294,400)
+_GCD_MAX_TERMS = 4096
+_GCD_MAX_BOX = 1 << 24
 
 
 def _exact_quotient(a: dict, b: dict, m: int):
@@ -699,8 +722,19 @@ class RatFun:
     # -- constructors -------------------------------------------------------
 
     @classmethod
+    def _wrap(cls, num: Poly, den: Poly, cert) -> "RatFun":
+        """Wrap a normalized num and den without normalizing them again."""
+        self = object.__new__(cls)
+        self.num, self.den, self.cert = num, den, cert
+        return self
+
+    @classmethod
     def const(cls, value) -> "RatFun":
         value = _rational(value)
+        if value == 0:
+            return ZERO
+        if value == 1:
+            return ONE
         cert = CConst(value) if value > 0 else None
         return cls(Poly.const(value.numerator), Poly.const(value.denominator), cert)
 
@@ -749,9 +783,18 @@ class RatFun:
     def __neg__(self) -> "RatFun":
         return RatFun(-self.num, self.den)
 
+    @property
+    def _is_one(self) -> bool:
+        return self.num.terms == _UNIT_TERMS and self.den.terms == _UNIT_TERMS
+
     def __mul__(self, other) -> "RatFun":
         other = as_ratfun(other)
         cert = _joint_cert(_cmul, self, other)
+        # a factor one leaves the other operand's normalized num and den
+        if other._is_one:
+            return RatFun._wrap(self.num, self.den, cert)
+        if self._is_one:
+            return RatFun._wrap(other.num, other.den, cert)
         # structurally equal cross factors cancel without expansion
         if self.den == other.num:
             return RatFun(self.num, other.den, cert)
@@ -766,6 +809,8 @@ class RatFun:
         if other.is_zero:
             raise ZeroDivisionError("division by the zero rational function")
         cert = _joint_cert(CDiv, self, other)
+        if other._is_one:
+            return RatFun._wrap(self.num, self.den, cert)
         # structurally equal parallel factors cancel without expansion
         if self.den == other.den:
             return RatFun(self.num, other.num, cert)
@@ -977,17 +1022,35 @@ def _gcd(a: Poly, b: Poly, positive: bool):
     """(g, a/g, b/g) for the polynomial gcd g of a and b, or None when
     either is a monomial (:class:`RatFun` cancels monomial content on its
     own), g is a constant, the heuristic gcd finds none, an exponent
-    reaches 2**15, or ``positive`` asks for cofactors without a negative
-    coefficient and one has one (as (x^3+1)/(x+1) does)."""
+    reaches 2**15, an operand is too large to try (more than
+    ``_GCD_MAX_TERMS`` terms, or a degree box above ``_GCD_MAX_BOX``), or
+    ``positive`` asks for cofactors without a negative coefficient and one
+    has one (as (x^3+1)/(x+1) does)."""
     if len(a.terms) < 2 or len(b.terms) < 2 or max(a._deg, b._deg) >= _HALF:
         return None
+    if max(len(a.terms), len(b.terms)) > _GCD_MAX_TERMS:
+        return None
     vars, at, bt = a._aligned(b)
-    found = _heuristic_gcd(at, bt, len(vars))
+    m = len(vars)
+    # (1 + the total degree) ** m bounds the degree box without a scan
+    if (1 + max(a._deg, b._deg)) ** m > _GCD_MAX_BOX and _degree_box(at, bt, m) > _GCD_MAX_BOX:
+        return None
+    found = _heuristic_gcd(at, bt, m)
     if found is None or list(found[0]) == [0]:
         return None
     if positive and min(*found[1].values(), *found[2].values()) < 0:
         return None
     return tuple(Poly._trusted(vars, t) for t in found)
+
+
+def _degree_box(a: dict, b: dict, m: int) -> int:
+    """The product over the m variables of one plus the largest exponent
+    of the variable in a or b."""
+    keys = [*a, *b]
+    box = 1
+    for shift in range(0, _WIDTH * m, _WIDTH):
+        box *= 1 + max(key >> shift & _MASK for key in keys)
+    return box
 
 
 def _check_bound(terms: dict, missing: list):
@@ -1156,5 +1219,7 @@ def const(value) -> RatFun:
     return RatFun.const(value)
 
 
-ZERO = RatFun.const(0)
-ONE = RatFun.const(1)
+# the values RatFun.const(0) and RatFun.const(1) return; sharing them is
+# safe because a RatFun is immutable
+ZERO = RatFun(Poly.const(0), Poly.const(1))
+ONE = RatFun(Poly.const(1), Poly.const(1), CConst(Q(1)))

@@ -37,7 +37,7 @@ SUITE_CAPS = {
     "prop43": 4,
     "axioms": 5,
     "umorphism": 6,
-    "fi-mi": 7,
+    "fi-mi": 8,
     "positivity": 5,
     "sharp-axioms": 5,
     "ud-main": 5,

@@ -39,9 +39,10 @@ class TestVerify:
         assert code == 0
 
     def test_fimi_at_its_cap(self, capsys):
-        code, out = run(capsys, "verify", "fi-mi", "--n", "7")
-        assert code == 0
-        assert "FAIL" not in out
+        for n in ("7", "8"):
+            code, out = run(capsys, "verify", "fi-mi", "--n", n)
+            assert code == 0
+            assert "FAIL" not in out
 
     def test_prop43_at_its_cap(self, capsys):
         code, out = run(capsys, "verify", "prop43", "--n", "4")
@@ -234,11 +235,11 @@ class TestErrorMessages:
              "error: state file is not a sharp element (key '1,x' is not \"k,j\")"),
             ("chart-number-coordinate", ["act", "geom-A", "{state}", "--i", "1", "--param", "3"],
              "error: chart coordinate 1,1 = 6 is not an expression string"),
-            (None, ["verify", "all", "--n", "8"],
-             "error: every suite is capped below n=8, so 'all' runs no check "
+            (None, ["verify", "all", "--n", "9"],
+             "error: every suite is capped below n=9, so 'all' runs no check "
              "(override with a higher cap)"),
-            (None, ["verify", "all", "--n", "8", "--json"],
-             "error: every suite is capped below n=8, so 'all' runs no check "
+            (None, ["verify", "all", "--n", "9", "--json"],
+             "error: every suite is capped below n=9, so 'all' runs no check "
              "(override with a higher cap)"),
             (None, ["verify", "all", "--n", "1", "--cap", "0"], "error: cap must be at least 1, got 0"),
             (None, ["verify", "verma", "--n", "2", "--cap", "-5"],

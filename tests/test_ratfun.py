@@ -1,6 +1,7 @@
 import math
 import numbers
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,13 +10,17 @@ from hypothesis import strategies as st
 
 from geomcrystal.ratfun import (
     ONE,
+    ZERO,
+    CDiv,
     PoleError,
     Poly,
     Q,
     RatFun,
+    _cmul,
     _decode,
     _encode,
     _exact_quotient,
+    _gcd,
     _remap_terms,
     const,
     parse,
@@ -404,6 +409,85 @@ class TestPolyHash:
         assert hash(wide) == hash(narrow)
 
 
+_certified_leaves = st.one_of(
+    st.sampled_from(NAMES).map(var),
+    st.fractions(min_value=Q(1, 4), max_value=3, max_denominator=4).map(const),
+)
+certified_ratfuns = st.recursive(
+    _certified_leaves,
+    lambda kids: st.tuples(st.sampled_from(_OPS[:1] + _OPS[2:]), kids, kids).map(_combine),
+    max_leaves=6,
+)
+# the value one in the forms an operand can take: shared and certified,
+# certified by a quotient, and uncertified after a subtraction
+_units = st.sampled_from([ONE, (x * y) / (y * x), x - x + 1])
+
+
+def _triple(f: RatFun) -> tuple:
+    return (f.num.vars, f.num.terms, f.den.vars, f.den.terms, str(f), f.cert)
+
+
+class TestUnitOperands:
+    """A factor or divisor one returns the other operand's num and den
+    without normalizing them again; the value, printed form and
+    certificate are those of normalizing the operand's own num and den
+    under the certificate the operator builds."""
+
+    @PROPERTY
+    @given(st.one_of(ratfuns, certified_ratfuns, st.just(ZERO)), _units)
+    def test_unit_factor_and_divisor(self, f, one):
+        assert one.num.terms == one.den.terms == {0: 1}
+
+        def expected(cert):
+            return _triple(RatFun(f.num, f.den, None if f.is_zero else cert))
+
+        both = f.cert is not None and one.cert is not None
+        assert _triple(f * one) == expected(_cmul(f.cert, one.cert) if both else None)
+        assert _triple(one * f) == expected(_cmul(one.cert, f.cert) if both else None)
+        assert _triple(f / one) == expected(CDiv(f.cert, one.cert) if both else None)
+
+    def test_shared_constants(self):
+        assert RatFun.const(0) is RatFun.const(0) is ZERO
+        assert RatFun.const(1) is const(Q(1)) is RatFun.const(Q(2, 2)) is ONE
+        assert const(2) is not const(2)
+        assert (str(ZERO), ZERO.cert, str(ONE), ONE.cert) == ("0", None, "1", const(Q(3, 3)).cert)
+
+
+_named_terms = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)), st.integers(-2, 2).filter(bool), max_size=3
+)
+_orders = st.sampled_from(("x", "y", "w", "z")).flatmap(
+    lambda extra: st.permutations(("x", "y", extra) if extra in "wz" else ("x", "y"))
+)
+
+
+class TestPolyEquality:
+    """``Poly.__eq__`` rejects on degree and term count and compares equal
+    variable tuples directly; the oracle remaps both operands to the merged
+    tuple, and compares monomials by variable name."""
+
+    @PROPERTY
+    @given(_named_terms, _orders, _named_terms, _orders, st.booleans())
+    def test_matches_merged_comparison(self, terms, order, other_terms, other_order, same):
+        base = ("x", "y")
+        p = _poly(base, terms, tuple(order))
+        q = _poly(base, terms if same else other_terms, tuple(other_order))
+        merged = tuple(sorted(set(p.vars) | set(q.vars)))
+        remapped = _remap_terms(p.terms, p.vars, merged) == _remap_terms(q.terms, q.vars, merged)
+
+        def by_name(poly):
+            return {
+                frozenset((v, e) for v, e in zip(poly.vars, exps) if e): c
+                for exps, c in poly.monomials()
+            }
+
+        assert (p == q) is remapped is (by_name(p) == by_name(q))
+        if same:
+            assert p == q
+        if p == q:
+            assert hash(p) == hash(q)
+
+
 _terms3 = st.dictionaries(
     st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)), st.integers(-3, 3), max_size=6
 )
@@ -657,6 +741,20 @@ class TestReduced:
         assert f.reduced() is f
         g = (x**3 * y + x**3) / (y + 1)
         assert str(g.reduced()) == "x^3"
+
+    def test_large_operands_are_not_tried(self):
+        # num and den share (1 + x1 + ... + x9)^3 and have 3,850 and 3,115
+        # terms; GCDHEU finds the gcd, but in about 9 s, because the degree
+        # box of the pair is 7^9, above the bound
+        xs = [var(f"x{i}") for i in range(1, 10)]
+        shared = (1 + sum(xs[1:], xs[0])) ** 3
+        odd, even = 2 + sum(xs[2::2], xs[0]), 1 + sum(xs[3::2], xs[1])
+        f = (shared * odd**3) / (shared * even**3)
+        assert (len(f.num.terms), len(f.den.terms)) == (3850, 3115)
+        start = time.perf_counter()
+        assert f.reduced() is f
+        assert time.perf_counter() - start < 1
+        assert _gcd(f.num, f.den, False) is None
 
     def test_exact_quotient(self):
         def quotient(a, b):

@@ -80,6 +80,17 @@ class TestGenerators:
         with pytest.raises(IndexError):
             x_elem(3, t, 2)
 
+    def test_shared_constants_survive_matrix_edits(self):
+        # identity matrices hold the shared RatFun.const(0) and const(1);
+        # the generators write into their own row lists, never into those
+        before = (str(MatRF.identity(3)), str(RatFun.const(1)), str(RatFun.const(0)))
+        assert RatFun.const(0) is RatFun.const(0)
+        assert MatRF.identity(3).rows[1][1] is RatFun.const(1)
+        assert x_elem(1, t, 2).rows[0][1] == t and y_elem(2, s, 2).rows[2][1] == s
+        assert x_elem(2, const(5), 2).rows[1][2] == 5 and y_elem(1, 0, 2).rows[1][0].is_zero
+        assert (str(MatRF.identity(3)), str(RatFun.const(1)), str(RatFun.const(0))) == before
+        assert before[0] == '[["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]'
+
     def test_determinants_one(self):
         n = 3
         g = x_elem(1, s, n) * y_elem(2, t, n) * coroot(3, c, n).as_matrix()
