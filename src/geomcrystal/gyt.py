@@ -121,31 +121,27 @@ def epsilon(i: int, v: SharpElement) -> int:
     return max(bvals(i, v))
 
 
-def _weight_coefficient(i: int, v: SharpElement) -> int:
-    """w_i: minus the sum of the entries B_{k,j} with k <= i < j."""
+def _weight_step(i: int, v: SharpElement) -> int:
+    """w_i - w_{i-1}, with w_0 = w_{n+1} = 0: column i above the diagonal minus row i."""
     entries = v.entries
-    total = 0
-    for k in range(1, i + 1):
-        for j in range(i + 1, v.n + 2):
-            total += entries[(k, j)]
-    return -total
+    step = 0
+    for k in range(1, i):
+        step += entries[(k, i)]
+    for j in range(i + 1, v.n + 2):
+        step -= entries[(i, j)]
+    return step
 
 
 def weight(v: SharpElement) -> tuple:
-    """Coefficients (w_1, ..., w_n) of the weight on the simple-root basis."""
-    return tuple(_weight_coefficient(i, v) for i in range(1, v.n + 1))
+    """Coefficients (w_1, ..., w_n) of the weight on the simple-root basis,
+    w_i = -sum of B_{k,j} over k <= i < j, as running sums of weight steps."""
+    return tuple(accumulate(_weight_step(i, v) for i in range(1, v.n + 1)))
 
 
 def weight_pairing(i: int, v: SharpElement) -> int:
-    """<h_i, wt(v)> through the tridiagonal Cartan pairing: only w_{i-1},
-    w_i and w_{i+1} are summed."""
+    """<h_i, wt(v)> = 2 w_i - w_{i-1} - w_{i+1}, the difference of two weight steps."""
     check_direction(i, v.n)
-    total = 2 * _weight_coefficient(i, v)
-    if i >= 2:
-        total -= _weight_coefficient(i - 1, v)
-    if i < v.n:
-        total -= _weight_coefficient(i + 1, v)
-    return total
+    return _weight_step(i, v) - _weight_step(i + 1, v)
 
 
 def phi(i: int, v: SharpElement) -> int:
@@ -194,16 +190,20 @@ def two_max_amounts(beta: int, bs: Sequence[int]) -> tuple:
 
     with prefix maxima P_k = max(b_1..b_k) and suffix maxima
     S_k = max(b_k..b_m).  The empty maxima P_0 and S_{m+1} drop out of
-    the outer max, so every quantity stays an integer.
+    the outer max, so every quantity stays an integer.  The second max of
+    c_k is the first of c_{k-1}: the amounts are steps between levels.
     """
-    m = len(bs)
-    prefix = list(accumulate(bs, max))
+    if not bs:
+        return ()
     suffix = list(accumulate(reversed(bs), max))[::-1]
     out = []
-    for k in range(m):  # position k+1
-        head = beta + prefix[k] if k == m - 1 else max(beta + prefix[k], suffix[k + 1])
-        tail = suffix[k] if k == 0 else max(beta + prefix[k - 1], suffix[k])
-        out.append(head - tail)
+    low, top, last = suffix[0], bs[0], len(bs) - 1
+    for k, b in enumerate(bs):
+        if b > top:
+            top = b
+        level = beta + top if k == last else max(beta + top, suffix[k + 1])
+        out.append(level - low)
+        low = level
     return tuple(out)
 
 

@@ -43,8 +43,9 @@ order, so degree, leading term and term order are read off the keys
 without decoding.  Every product checks that its total degree stays
 below 2**16 - 1, and so does every packed key: an exponent never
 overflows into the next field.  Rationals (``Q``) appear only in
-certificate constants and as the one ``Q`` that an evaluation returns:
-it sums integer terms over a cleared denominator and divides once.  No
+certificate constants and as the one ``Q`` per point that an evaluation
+returns: it sums integer terms over a cleared denominator, in columns over
+a batch of points, and divides once per point.  No
 floating point is used anywhere in this module: a float operand is
 rejected.
 """
@@ -53,6 +54,7 @@ from __future__ import annotations
 
 import functools
 import heapq
+import itertools
 import math
 import numbers
 import operator
@@ -72,8 +74,9 @@ class PoleError(ArithmeticError):
 
 def _rational(value) -> Q:
     """``value`` as an exact rational; floats and other inexact numbers
-    are rejected rather than expanded into their binary value."""
-    if isinstance(value, numbers.Rational):
+    are rejected rather than expanded into their binary value, and bools
+    rather than read as 1 or 0."""
+    if isinstance(value, numbers.Rational) and not isinstance(value, bool):
         return Q(value)
     raise TypeError(f"not an exact rational: {value!r}")
 
@@ -88,20 +91,27 @@ def _integer_ratio(value) -> tuple:
     return value.numerator, value.denominator
 
 
-def _power_table(p: int, q: int, top: int) -> list:
-    """[p**e * q**(top - e) for e in 0..top]: the factor of exponent e of
-    a variable with value p/q, scaled by q**top."""
-    table = [1] * (top + 1)
-    acc = 1
-    for e in range(1, top + 1):
-        acc *= p
-        table[e] = acc
-    if q != 1:
-        acc = 1
-        for e in range(top - 1, -1, -1):
-            acc *= q
-            table[e] *= acc
-    return table
+def _power_columns(ps: tuple, qs: tuple, top: int) -> list:
+    """For e in 0..top, the column of p**e * q**(top - e) over the values
+    p/q of one variable at a batch of points."""
+    if top == 1:
+        return [qs, ps]
+    return [
+        list(map(operator.mul, map(pow, ps, itertools.repeat(e)), map(pow, qs, itertools.repeat(top - e))))
+        for e in range(top + 1)
+    ]
+
+
+def _term_sum(terms: dict, tables: list, count: int) -> list:
+    """The column of sum(c * prod of factors) over the batch, each factor
+    read from the (field shift, power columns) of a variable."""
+    total = None
+    for key, c in terms.items():
+        column = itertools.repeat(c, count)
+        for shift, factors in tables:
+            column = map(operator.mul, column, factors[key >> shift & _MASK])
+        total = column if total is None else map(operator.add, total, column)
+    return [0] * count if total is None else list(total)
 
 
 def as_int(value) -> int:
@@ -885,41 +895,44 @@ class RatFun:
     # -- evaluation / substitution -------------------------------------------
 
     def eval(self, point: Mapping[str, object]):
-        """Exact value at a point given as ``{variable: rational}``.
+        """Exact value at a point ``{variable: rational}``: :meth:`eval_many` of one point."""
+        return self.eval_many([point])[0]
+
+    def eval_many(self, points) -> list:
+        """Exact values at each point of a batch, each point a mapping
+        ``{variable: rational}``; a list of ``Fraction`` in point order.
 
         Every value of a variable of this function must be rational
-        (``TypeError`` otherwise).  A variable missing from ``point`` raises
-        ``KeyError``, unless it appears only in the numerator and the
-        point is a pole, which raises :class:`PoleError`.
+        (``TypeError`` otherwise); the whole batch is checked first.  Then
+        the first point, in batch order, where a variable of the denominator
+        has no value (``KeyError``), the point is a pole (:class:`PoleError`)
+        or a variable of the numerator has no value (``KeyError``) raises.
 
-        Num and den are evaluated over one cleared denominator: a variable
-        with value p/q and largest exponent E contributes p^e * q^(E-e) to
-        a term of exponent e, so both sums are integers scaled by the same
-        positive factor, which cancels in the one ``Fraction`` returned.
-        """
+        The exponents are decoded once per batch and each term is summed as
+        a column over the points, with num and den over one cleared
+        denominator: a variable with value p/q and largest exponent E
+        contributes p^e * q^(E-e) to a term of exponent e, so both sums are
+        scaled by the same positive factor, which cancels in the one
+        ``Fraction`` returned per point."""
         vars, num, den = self.num.vars, self.num.terms, self.den.terms
-        values = [_integer_ratio(point[name]) if name in point else None for name in vars]
-        top = _WIDTH * len(vars)
-        shifts = [top - _WIDTH * (idx + 1) for idx in range(len(vars))]
-        missing = [(shift, name) for shift, name, value in zip(shifts, vars, values) if value is None]
-        if missing:
-            _check_bound(den, missing)
-        nkeys, dkeys = list(num), list(den)
-        nterms, dterms = list(num.values()), list(den.values())
-        for shift, value in zip(shifts, values):
-            if value is None:  # a numerator-only variable: checked at the end
-                continue
-            nexps = list(map(_MASK.__and__, map(shift.__rrshift__, nkeys)))
-            dexps = list(map(_MASK.__and__, map(shift.__rrshift__, dkeys)))
-            table = _power_table(*value, max(max(nexps, default=0), max(dexps)))
-            nterms = list(map(operator.mul, nterms, map(table.__getitem__, nexps)))
-            dterms = list(map(operator.mul, dterms, map(table.__getitem__, dexps)))
-        d = sum(dterms)
-        if d == 0:
-            raise PoleError(f"pole at {dict(point)!r}")
-        if missing:
-            _check_bound(num, missing)
-        return Q(sum(nterms), d)
+        points = list(points)
+        rows = [[_integer_ratio(p[name]) if name in p else None for name in vars] for p in points]
+        shifts = [_WIDTH * idx for idx in reversed(range(len(vars)))]
+        tables = []
+        for shift, column in zip(shifts, zip(*rows)):
+            # a missing value reads as 1: such a point raises below
+            ps, qs = zip(*((1, 1) if value is None else value for value in column))
+            high = max(key >> shift & _MASK for key in itertools.chain(num, den))
+            tables.append((shift, _power_columns(ps, qs, high)))
+        nums, dens = _term_sum(num, tables, len(points)), _term_sum(den, tables, len(points))
+        if 0 in dens or None in itertools.chain.from_iterable(rows):
+            for point, row, d in zip(points, rows, dens):
+                missing = [(shift, name) for shift, name, value in zip(shifts, vars, row) if value is None]
+                _check_bound(den, missing)
+                if d == 0:
+                    raise PoleError(f"pole at {dict(point)!r}")
+                _check_bound(num, missing)
+        return list(map(Q, nums, dens))
 
     def subst_monomial(self, exponents) -> "RatFun":
         """Substitute each variable by ``c`` raised to the given integer.

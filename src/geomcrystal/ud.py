@@ -17,6 +17,7 @@ argument and every expression evaluates to an integer.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from collections.abc import Mapping
@@ -183,7 +184,13 @@ def _coerce_point(point, vars: tuple) -> list:
         values = list(point)
         if len(values) != len(vars):
             raise ValueError(f"point has {len(values)} coordinates, expression has {len(vars)}")
-    return [as_int(x) for x in values]
+    coerced = []
+    for name, x in zip(vars, values):
+        try:
+            coerced.append(as_int(x))
+        except TypeError:
+            raise TypeError(f"coordinate {name} = {x!r} is not an integer") from None
+    return coerced
 
 
 def _column(node, columns: list, count: int):
@@ -354,11 +361,24 @@ def _collapse(degrees: tuple, coeffs: list):
 # identification of the chart lattice with the tableau lattice
 
 
+@functools.lru_cache(maxsize=16)
+def _chart_slots(n: int) -> tuple:
+    """The map chart pair (k, j) -> slot (k, j+1) and the zero entries (shared)."""
+    return {(k, j - 1): (k, j) for (k, j) in sharp_pairs(n)}, dict.fromkeys(sharp_pairs(n), 0)
+
+
 def chart_to_sharp(n: int, values: Mapping) -> SharpElement:
     """Send the chart coordinate (k, j), 1 <= k <= j <= n, to the stored
     slot (k, j+1) of the free crystal (the index shift j -> j+1)."""
     n = as_rank(n)
-    entries = dict.fromkeys(sharp_pairs(n), 0)
+    slots, zeros = _chart_slots(n)
+    entries = dict(zeros)
+    if _INT.issuperset(map(type, values.values())):
+        try:
+            entries.update(zip(map(slots.__getitem__, values), values.values()))
+            return SharpElement._trusted(n, entries)
+        except (KeyError, TypeError):
+            pass  # a key that is not a pair in range, or not hashable: checked below
     for (k, j), val in values.items():
         if not 1 <= k <= j <= n:
             raise ValueError(f"chart index {(k, j)} out of range")

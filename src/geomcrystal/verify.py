@@ -38,7 +38,7 @@ SUITE_CAPS = {
     "axioms": 5,
     "umorphism": 6,
     "fi-mi": 8,
-    "positivity": 5,
+    "positivity": 7,
     "sharp-axioms": 5,
     "ud-main": 5,
 }
@@ -212,9 +212,16 @@ def positivity_reports(n: int, seed: int = DEFAULT_SEED) -> list:
             if not value.positive_cert:
                 return {"reason": "certificate missing"}
             names = sorted(set(value.variables))
-            for _ in range(POSITIVITY_POINTS):
-                pt = {v: Q(rng.randint(1, 60), rng.randint(1, 9)) for v in names}
-                if not value.eval(pt) > 0:
+
+            def draw(count):
+                return [{v: Q(rng.randint(1, 60), rng.randint(1, 9)) for v in names} for _ in range(count)]
+
+            state = rng.getstate()
+            for j, got in enumerate(value.eval_many(draw(POSITIVITY_POINTS))):
+                if not got > 0:
+                    # leave the generator where a point-by-point loop stops
+                    rng.setstate(state)
+                    pt = draw(j + 1)[j]
                     return {"point": {k: str(x) for k, x in pt.items()}}
             return None
 

@@ -54,6 +54,12 @@ class TestVerify:
         assert code == 0
         assert "FAIL" not in out
 
+    def test_positivity_at_its_cap(self, capsys):
+        # seven weight components, 7 * 28 action and 2 * 28 chart-change components
+        code, out = run(capsys, "verify", "positivity", "--n", "7")
+        assert code == 0
+        assert "259/259 checks hold" in out
+
     def test_verma_at_its_cap(self, capsys):
         # ten rank-2 pairs at n=5, each in matrix form and in the ratio chart
         code, out = run(capsys, "verify", "verma", "--n", "5")
@@ -263,6 +269,12 @@ class TestErrorMessages:
             (None, ["trop", "--formula", "alpha_ik", "--n", "2", "--i", "0", "--k", "1",
                     "--point", "{{}}"],
              "error: direction 0 out of range 1..2"),
+            (None, ["trop", "--formula", "gammaA", "--n", "2", "--point",
+                    '{{"A[1,1]": 2.5, "A[1,2]": 1, "A[2,2]": 3}}'],
+             "error: coordinate A[1,1] = 2.5 is not an integer"),
+            (None, ["trop", "--formula", "gammaA", "--n", "2", "--point",
+                    '{{"A[1,1]": 2, "A[1,2]": true, "A[2,2]": 3}}'],
+             "error: coordinate A[1,2] = True is not an integer"),
         ],
         ids=[
             "act-sharp-on-chart-state", "graph-negative-radius", "trop-point-not-json",
@@ -277,6 +289,7 @@ class TestErrorMessages:
             "graph-rank-zero", "graph-negative-rank", "act-sharp-negative-rank",
             "act-chart-rank-zero", "trop-gamma-rank-zero", "trop-xi-negative-rank",
             "trop-alpha-direction-above-rank", "trop-alpha-direction-zero",
+            "trop-point-float-coordinate", "trop-point-bool-coordinate",
         ],
     )
     def test_error_message(self, tmp_path, capsys, state, argv, expected):

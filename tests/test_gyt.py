@@ -72,6 +72,36 @@ class TestData:
         assert extremes(1, V) == (1, 1)
 
 
+def _reference_weight(v):
+    """w_i = -sum of B_{k,j} over k <= i < j, summed slot by slot."""
+    return tuple(
+        -sum(v.b(k, j) for k in range(1, i + 1) for j in range(i + 1, v.n + 2))
+        for i in range(1, v.n + 1)
+    )
+
+
+def _reference_pairing(i, v):
+    """2 w_i - w_{i-1} - w_{i+1} with w_0 = w_{n+1} = 0."""
+    w = (0, *_reference_weight(v), 0)
+    return 2 * w[i] - w[i - 1] - w[i + 1]
+
+
+class TestWeightSums:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 7), st.randoms(use_true_random=False))
+    def test_matches_slot_sums(self, n, rng):
+        v = SharpElement.random(n, rng)
+        assert weight(v) == _reference_weight(v)
+        for i in range(1, n + 1):
+            assert weight_pairing(i, v) == _reference_pairing(i, v)
+
+    def test_direction_checked(self):
+        with pytest.raises(IndexError):
+            weight_pairing(3, V)
+        with pytest.raises(IndexError):
+            weight_pairing(0, V)
+
+
 class TestOperators:
     def test_etilde_direction_two(self):
         # acts at row 2; the diagonal slot is dropped, column 3 decrements
@@ -412,7 +442,7 @@ class TestTwoMax:
         rng = random.Random(5)
         for _ in range(300):
             bs = [rng.randint(-6, 6) for _ in range(rng.randint(1, 6))]
-            beta = rng.randint(0, 5)
+            beta = rng.randint(-5, 5)  # negative for the lowering powers
             amounts = two_max_amounts(beta, bs)
             assert amounts == self._direct(beta, bs)
             assert all(type(a) is int for a in amounts)

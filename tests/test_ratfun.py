@@ -564,13 +564,13 @@ class TestKeyCodec:
 
 def _reference_eval(f: RatFun, point):
     """Per-term ``Fraction`` evaluation, one term and one sum at a time,
-    with the error order of ``RatFun.eval``: a non-rational value of a
-    variable of ``f``, then a variable of the denominator without a value,
+    with the error order of ``RatFun.eval``: a non-rational value (a bool
+    included) of a variable of ``f``, then a variable of the denominator without a value,
     then a pole, then a variable of the numerator without a value."""
     values = {}
     for name in f.variables:
         if name in point:
-            if not isinstance(point[name], numbers.Rational):
+            if not isinstance(point[name], numbers.Rational) or isinstance(point[name], bool):
                 raise TypeError(name)
             values[name] = Fraction(point[name])
 
@@ -613,7 +613,7 @@ class TestIntegerEval:
             assert got == expected
 
     @PROPERTY
-    @given(ratfuns, st.fixed_dictionaries({name: _values.filter(lambda v: type(v) is not float) for name in NAMES}))
+    @given(ratfuns, st.fixed_dictionaries({name: _values.filter(lambda v: type(v) not in (float, bool)) for name in NAMES}))
     def test_value_of_every_complete_point(self, f, point):
         try:
             expected = _reference_eval(f, point)
@@ -647,6 +647,79 @@ class TestIntegerEval:
         with pytest.raises(TypeError):  # a float before the missing y
             f.eval({"x": 0.5})
         assert x.eval({"x": 2, "w": 0.5}) == 2  # values of other names are not read
+
+    @pytest.mark.parametrize(
+        "evaluate",
+        [
+            lambda: (x + y).eval({"x": True, "y": 2}),
+            lambda: x.eval({"x": False}),
+            lambda: (x + y).eval_many([{"x": 1, "y": 2}, {"x": 1, "y": True}]),
+            lambda: RatFun.const(True),
+            lambda: const(False),
+        ],
+        ids=["eval-true", "eval-false", "eval-many", "const-true", "const-false"],
+    )
+    def test_bools_are_not_rationals(self, evaluate):
+        with pytest.raises(TypeError, match="not an exact rational"):
+            evaluate()
+
+
+_exact_values = st.one_of(st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=5))
+_batches = st.lists(
+    st.one_of(_points, st.fixed_dictionaries({name: _exact_values for name in NAMES})), max_size=4
+)
+
+
+def _first_reference_error(f: RatFun, points):
+    """(stage, index, type) of the error a batch evaluation raises, or None:
+    the first point with a value that is not rational, else the first point
+    at which :func:`_reference_eval` raises."""
+    errors = []
+    for j, point in enumerate(points):
+        try:
+            _reference_eval(f, point)
+        except (TypeError, KeyError, PoleError) as exc:
+            errors.append((type(exc) is not TypeError, j, type(exc)))
+    return min(errors, default=None)
+
+
+class TestBatchEval:
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.one_of(ratfuns, certified_ratfuns), _batches)
+    def test_matches_per_point_fractions(self, f, points):
+        """eval_many is the per-term Fraction sum at each point; a batch
+        raises what eval raises at its first bad point, with the same
+        message, coercion errors of the whole batch first."""
+        first = _first_reference_error(f, points)
+        if first is None:
+            got = f.eval_many(points)
+            assert got == [_reference_eval(f, point) for point in points]
+            assert got == [f.eval(point) for point in points]
+            assert all(type(value) is Fraction for value in got)
+            return
+        _, j, error = first
+        with pytest.raises(error) as batch:
+            f.eval_many(points)
+        with pytest.raises(error) as single:
+            f.eval(points[j])
+        assert str(batch.value) == str(single.value)
+
+    def test_empty_batch(self):
+        assert (x / y).eval_many([]) == []
+        assert const(3).eval_many(iter([])) == []
+        assert ZERO.eval_many([{}, {"x": 1}]) == [0, 0]
+
+    def test_errors_in_batch_order(self):
+        f = x / y
+        with pytest.raises(TypeError):  # coercion of the whole batch comes first
+            f.eval_many([{"y": 1}, {"x": 0.5, "y": 1}])
+        with pytest.raises(KeyError, match="'y'"):  # a denominator variable without a value
+            f.eval_many([{"x": 1, "y": 2}, {"x": 1}, {"x": 1, "y": 0}])
+        with pytest.raises(PoleError, match="'y': 0"):
+            f.eval_many([{"x": 1, "y": 2}, {"x": 1, "y": 0}, {"y": 1}])
+        with pytest.raises(KeyError, match="'x'"):  # a numerator variable, after the pole check
+            f.eval_many([{"y": 1}, {"x": 1, "y": 0}])
+        assert f.eval_many([{"x": 1, "y": 2}, {"x": Q(1, 3), "y": -1}]) == [Q(1, 2), Q(-1, 3)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections.abc import Mapping
 
 import pytest
 from hypothesis import assume, given, settings
@@ -475,6 +476,47 @@ class TestChartSharpIdentification:
     def test_bool_rejected(self):
         with pytest.raises(TypeError):
             chart_to_sharp(2, {(1, 1): 2, (1, 2): True, (2, 2): 3})
+
+    @pytest.mark.parametrize(
+        "values, error, message",
+        [
+            ({(1, 1): 2, (2, 3): 1}, ValueError, "chart index (2, 3) out of range"),
+            ({(0, 1): 2}, ValueError, "chart index (0, 1) out of range"),
+            ({(2, 1): 2}, ValueError, "chart index (2, 1) out of range"),
+            ({(1, 1): 2, (1, 2, 3): 1}, ValueError, "too many values to unpack"),
+            ({(1, 1): 2.0}, TypeError, "'float' object cannot be interpreted as an integer"),
+            ({(1, 1): 2, (2, 2): False}, TypeError, "not an integer: False"),
+            ({(1, 1): 1.5, (3, 3): 1}, TypeError, "'float' object"),  # the value comes first
+            ({(3, 3): 1, (1, 1): 1.5}, ValueError, "chart index (3, 3) out of range"),
+        ],
+        ids=["above-rank", "row-zero", "below-diagonal", "triple", "float", "bool",
+             "float-then-bad-key", "bad-key-then-float"],
+    )
+    def test_error_rows(self, values, error, message):
+        with pytest.raises(error) as caught:
+            chart_to_sharp(2, values)
+        assert str(caught.value).startswith(message)
+
+    def test_list_keys(self):
+        """A mapping whose keys are lists reads like one with pairs."""
+
+        class ListKeys(Mapping):
+            def __init__(self, items):
+                self.items_ = items
+
+            def __getitem__(self, key):
+                return dict((tuple(k), v) for k, v in self.items_)[tuple(key)]
+
+            def __iter__(self):
+                return (list(k) for k, _ in self.items_)
+
+            def __len__(self):
+                return len(self.items_)
+
+        v = chart_to_sharp(2, ListKeys([((1, 1), 2), ((1, 2), 1), ((2, 2), 3)]))
+        assert v == chart_to_sharp(2, {(1, 1): 2, (1, 2): 1, (2, 2): 3})
+        with pytest.raises(ValueError, match=r"chart index \(2, 3\) out of range"):
+            chart_to_sharp(2, ListKeys([((1, 1), 2), ((2, 3), 1)]))
 
     def test_missing_pairs_read_zero(self):
         v = chart_to_sharp(2, {(1, 2): 4})

@@ -15,6 +15,7 @@ suites and check that a failing report names a location, never a value.
 
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -148,3 +149,43 @@ def test_witness_is_a_location(monkeypatch, fault):
         for key, text in _strings(r.counterexample):
             if key not in ("formula", "reason"):
                 Q(text)  # a ValueError here means the witness holds an expression
+
+
+def test_positivity_failure_keeps_the_drawn_points(monkeypatch):
+    """A positivity check evaluates its points as one batch; a value made
+    nonpositive wherever its first coordinate exceeds 30, from one chosen
+    check on, fails each report at the point a point-by-point loop finds,
+    and every check after a failure sees the points that loop draws."""
+    n, seed, chosen = 3, 7, 4
+    evaluate = RatFun.eval_many
+    seen = []
+
+    def faulted(self, points):
+        seen.append(self)
+        values = evaluate(self, points)
+        if len(seen) <= chosen:
+            return values
+        return [-v if pt[min(pt)] > 30 else v for v, pt in zip(values, points)]
+
+    monkeypatch.setattr(RatFun, "eval_many", faulted)
+    reports = verify.positivity_reports(n, seed)
+    monkeypatch.undo()
+    assert len(seen) == len(reports)  # one batch per check
+
+    rng = random.Random(seed)
+    expected = []
+    for index, value in enumerate(seen):
+        names = sorted(set(value.variables))
+        witness = None
+        for _ in range(verify.POSITIVITY_POINTS):
+            pt = {v: Q(rng.randint(1, 60), rng.randint(1, 9)) for v in names}
+            got = value.eval(pt)
+            if index >= chosen and pt[names[0]] > 30:
+                got = -got
+            if not got > 0:
+                witness = {"point": {k: str(x) for k, x in pt.items()}}
+                break
+        expected.append((witness is None, witness))
+    assert [(r.holds, r.counterexample) for r in reports] == expected
+    assert all(r.holds for r in reports[:chosen]) and not reports[chosen].holds
+    assert sum(not r.holds for r in reports[chosen + 1 :]) > 10
