@@ -2,11 +2,13 @@
 
 An element is an integer point (B_{k,j}) indexed by 1 <= k < j <= n+1;
 diagonal slots are never stored, and updates addressed to them are
-discarded.  Kashiwara operators, their closed-form signed power, the Weyl
-involutions, and a classical-tableau tensor-rule oracle are provided.  The
-oracle reads a tableau's arabic word into the box crystal and raises it by
-the bracket (signature) rule, so it shares no code with the two-max
-formula behind the closed power it checks.
+discarded.  It is stored as one immutable tuple in :func:`sharp_pairs`
+order; ``entries`` is a read-only mapping view.  Kashiwara operators,
+their closed-form signed power, the Weyl involutions, and a
+classical-tableau tensor-rule oracle are provided.  The oracle reads a
+tableau's arabic word into the box crystal and raises it by the bracket
+(signature) rule, so it shares no code with the two-max formula behind
+the closed power it checks.
 
 The k-th column datum b_k sums the first k entries of column i+1 minus
 the first k-1 entries of column i; epsilon is the maximum of these, and
@@ -20,9 +22,10 @@ import functools
 import json
 import random
 from itertools import accumulate
+from types import MappingProxyType, SimpleNamespace
 from typing import Mapping, Sequence
 
-from .ratfun import as_int, as_rank, check_direction, state_fields
+from .ratfun import as_int, as_rank, check_direction, randint_rounds, state_fields
 
 
 class Annihilated(Exception):
@@ -34,28 +37,38 @@ def sharp_pairs(n: int) -> list:
     return [(k, j) for k in range(1, n + 1) for j in range(k + 1, n + 2)]
 
 
+@functools.cache
+def _layout(n: int) -> SimpleNamespace:
+    """Where rank n's pairs sit in the tuple: ``slot`` of each pair, ``cols[i]``
+    the slots of (k, i), k < i, and ``rows[i]`` those of (i, j), j > i.
+    Direction i reads columns i+1 and i; weight step i is cols[i] - rows[i]."""
+    slot = {p: s for s, p in enumerate(sharp_pairs(n))}
+    cols = {i: tuple(slot[(k, i)] for k in range(1, i)) for i in range(1, n + 2)}
+    rows = {i: tuple(slot[(i, j)] for j in range(i + 1, n + 2)) for i in range(1, n + 2)}
+    return SimpleNamespace(pairs=tuple(slot), slot=slot, cols=cols, rows=rows)
+
+
 class SharpElement:
     """Integer lattice point of the free crystal."""
 
-    __slots__ = ("n", "entries")
+    __slots__ = ("n", "vals")
 
     def __init__(self, n: int, entries: Mapping):
         n = as_rank(n)
-        expected = sharp_pairs(n)
+        layout = _layout(n)
         entries = {key: as_int(val) for key, val in entries.items()}
-        unknown = set(entries) - set(expected)
+        unknown = set(entries) - set(layout.pairs)
         if unknown:
             raise ValueError(f"entries outside the index set: {sorted(unknown)}")
         self.n = n
-        self.entries = {key: entries.get(key, 0) for key in expected}
+        self.vals = tuple(entries.get(key, 0) for key in layout.pairs)
 
     @classmethod
-    def _trusted(cls, n: int, entries: dict) -> "SharpElement":
-        """An element over entries already validated: every stored pair,
-        each an int.  Skips the constructor's checks."""
+    def _trusted(cls, n: int, vals: tuple) -> "SharpElement":
+        """An element over a validated tuple, one int per stored pair."""
         v = object.__new__(cls)
         v.n = n
-        v.entries = entries
+        v.vals = vals
         return v
 
     @classmethod
@@ -65,27 +78,39 @@ class SharpElement:
     @classmethod
     def random(cls, n: int, rng: random.Random) -> "SharpElement":
         """Every entry drawn uniformly from -10..10."""
+        return cls.random_with(n, rng, ())[0]
+
+    @classmethod
+    def random_with(cls, n: int, rng: random.Random, extra: tuple) -> tuple:
+        """(element, draws from the ranges ``extra``), in one :func:`randint_rounds` call."""
         n = as_rank(n)
-        return cls._trusted(n, {key: rng.randint(-10, 10) for key in sharp_pairs(n)})
+        m = len(_layout(n).pairs)
+        (vals,) = randint_rounds(rng, ((-10, 10),) * m + extra, 1)
+        return cls._trusted(n, vals[:m]), vals[m:]
+
+    @property
+    def entries(self) -> Mapping:
+        """Read-only view {(k, j): B_{k,j}} in :func:`sharp_pairs` order."""
+        return MappingProxyType(dict(zip(_layout(self.n).pairs, self.vals)))
 
     def b(self, k: int, j: int) -> int:
-        return self.entries[(k, j)]
+        return self.vals[_layout(self.n).slot[(k, j)]]
 
     def key(self) -> tuple:
-        return tuple(self.entries[p] for p in sharp_pairs(self.n))
+        return self.vals
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SharpElement):
             return NotImplemented
-        return self.n == other.n and self.entries == other.entries
+        return self.vals == other.vals and self.n == other.n
 
     def __hash__(self):
-        return hash((self.n, self.key()))
+        return hash(self.vals)  # the tuple's length fixes n
 
     def to_json(self) -> dict:
         return {
             "n": self.n,
-            "B": {f"{k},{j}": self.entries[(k, j)] for (k, j) in sharp_pairs(self.n)},
+            "B": {f"{k},{j}": val for (k, j), val in zip(_layout(self.n).pairs, self.vals)},
         }
 
     @classmethod
@@ -107,13 +132,13 @@ class SharpElement:
 def bvals(i: int, v: SharpElement) -> tuple:
     """Column data (b_1, ..., b_i) for direction i."""
     check_direction(i, v.n)
-    out = []
-    acc = 0
-    for k in range(1, i + 1):
-        acc += v.entries[(k, i + 1)]
+    cols, x = _layout(v.n).cols, v.vals
+    acc, out = 0, []
+    for a, b in zip(cols[i + 1], cols[i]):
+        acc += x[a]
         out.append(acc)
-        if k < i:
-            acc -= v.entries[(k, i)]
+        acc -= x[b]
+    out.append(acc + x[cols[i + 1][-1]])
     return tuple(out)
 
 
@@ -123,13 +148,8 @@ def epsilon(i: int, v: SharpElement) -> int:
 
 def _weight_step(i: int, v: SharpElement) -> int:
     """w_i - w_{i-1}, with w_0 = w_{n+1} = 0: column i above the diagonal minus row i."""
-    entries = v.entries
-    step = 0
-    for k in range(1, i):
-        step += entries[(k, i)]
-    for j in range(i + 1, v.n + 2):
-        step -= entries[(i, j)]
-    return step
+    layout, get = _layout(v.n), v.vals.__getitem__
+    return sum(map(get, layout.cols[i])) - sum(map(get, layout.rows[i]))
 
 
 def weight(v: SharpElement) -> tuple:
@@ -162,13 +182,13 @@ def _shifted(v: SharpElement, i: int, rows) -> SharpElement:
     distinct k), add the amount to slot (k, i) and subtract it from
     (k, i+1); the diagonal slot (i, i) is not stored and its update is
     dropped."""
-    entries = dict(v.entries)
+    cols, x = _layout(v.n).cols, list(v.vals)
     for k, amount in rows:
         if amount:
             if k < i:
-                entries[(k, i)] += amount
-            entries[(k, i + 1)] -= amount
-    return SharpElement._trusted(v.n, entries)
+                x[cols[i][k - 1]] += amount
+            x[cols[i + 1][k - 1]] -= amount
+    return SharpElement._trusted(v.n, tuple(x))
 
 
 def etilde(i: int, v: SharpElement) -> SharpElement:

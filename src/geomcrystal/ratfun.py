@@ -137,6 +137,26 @@ def check_direction(i: int, n: int) -> int:
     return i
 
 
+def randint_rounds(rng, bounds: tuple, count: int) -> list:
+    """``count`` rounds of one draw from each inclusive range (lo, hi) of
+    ``bounds``, a tuple per round, with the values and final ``rng`` state of
+    successive ``rng.randint(lo, hi)``: randint's getrandbits rejection loop."""
+    getrandbits = rng.getrandbits
+    out = []
+    for _ in range(count):
+        row = []
+        for lo, hi in bounds:
+            width = hi - lo + 1
+            if width < 1:
+                raise ValueError(f"empty range {lo}..{hi}")
+            r = getrandbits(k := width.bit_length())
+            while r >= width:
+                r = getrandbits(k)
+            row.append(lo + r)
+        out.append(tuple(row))
+    return out
+
+
 def state_fields(data, what: str, field: str) -> tuple:
     """(n, {(k, j): value}) of a state document: a JSON object with an
     integer ``n`` and an object-valued ``field`` keyed by ``"k,j"``.

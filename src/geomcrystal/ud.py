@@ -17,7 +17,6 @@ argument and every expression evaluates to an integer.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import operator
 from collections.abc import Mapping
@@ -361,26 +360,19 @@ def _collapse(degrees: tuple, coeffs: list):
 # identification of the chart lattice with the tableau lattice
 
 
-@functools.lru_cache(maxsize=16)
-def _chart_slots(n: int) -> tuple:
-    """The map chart pair (k, j) -> slot (k, j+1) and the zero entries (shared)."""
-    return {(k, j - 1): (k, j) for (k, j) in sharp_pairs(n)}, dict.fromkeys(sharp_pairs(n), 0)
-
-
 def chart_to_sharp(n: int, values: Mapping) -> SharpElement:
     """Send the chart coordinate (k, j), 1 <= k <= j <= n, to the stored
     slot (k, j+1) of the free crystal (the index shift j -> j+1)."""
     n = as_rank(n)
-    slots, zeros = _chart_slots(n)
-    entries = dict(zeros)
-    if _INT.issuperset(map(type, values.values())):
-        try:
-            entries.update(zip(map(slots.__getitem__, values), values.values()))
-            return SharpElement._trusted(n, entries)
-        except (KeyError, TypeError):
-            pass  # a key that is not a pair in range, or not hashable: checked below
+    entries = dict.fromkeys(sharp_pairs(n), 0)
     for (k, j), val in values.items():
         if not 1 <= k <= j <= n:
             raise ValueError(f"chart index {(k, j)} out of range")
         entries[(k, j + 1)] = as_int(val)
-    return SharpElement._trusted(n, entries)
+    return SharpElement._trusted(n, tuple(entries.values()))
+
+
+def point_to_sharp(n: int, point) -> SharpElement:
+    """:func:`chart_to_sharp` of an int lattice point that starts with its chart
+    coordinates in ``index_pairs`` order: the shift j -> j+1 keeps the order."""
+    return SharpElement._trusted(n, tuple(point[: n * (n + 1) // 2]))

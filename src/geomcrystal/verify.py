@@ -26,7 +26,7 @@ import time
 from dataclasses import dataclass
 
 from . import charts, gyt, slgroup, ud
-from .ratfun import Q, RatFun, as_rank, var
+from .ratfun import Q, RatFun, as_rank, randint_rounds, var
 
 DEFAULT_SEED = 31001
 POSITIVITY_POINTS = 100  # seeded evaluation points per positivity check
@@ -39,8 +39,8 @@ SUITE_CAPS = {
     "umorphism": 6,
     "fi-mi": 8,
     "positivity": 7,
-    "sharp-axioms": 5,
-    "ud-main": 5,
+    "sharp-axioms": 8,
+    "ud-main": 8,
 }
 
 
@@ -214,7 +214,8 @@ def positivity_reports(n: int, seed: int = DEFAULT_SEED) -> list:
             names = sorted(set(value.variables))
 
             def draw(count):
-                return [{v: Q(rng.randint(1, 60), rng.randint(1, 9)) for v in names} for _ in range(count)]
+                rows = randint_rounds(rng, ((1, 60), (1, 9)) * len(names), count)
+                return [dict(zip(names, map(Q, row[::2], row[1::2]))) for row in rows]
 
             state = rng.getstate()
             for j, got in enumerate(value.eval_many(draw(POSITIVITY_POINTS))):
@@ -239,8 +240,7 @@ def _sampled(n: int, rng: random.Random, cases: int, fails, top: int):
     ``fails(v, i)`` returns None, or the counterexample fields beyond the
     element and i."""
     for _ in range(cases if top >= 1 else 0):
-        v = gyt.SharpElement.random(n, rng)
-        i = rng.randint(1, top)
+        v, (i,) = gyt.SharpElement.random_with(n, rng, ((1, top),))
         extra = fails(v, i)
         if extra is not None:
             return {"element": v.to_json(), "i": i, **extra}
@@ -352,14 +352,17 @@ def _lattice_points(n: int, seed: int):
     m = n * (n + 1) // 2
     if n <= 2:
         return [tuple(pt) for pt in itertools.product(range(-3, 4), repeat=m + 1)]
-    rng = random.Random(seed)
-    return [tuple(rng.randint(-5, 5) for _ in range(m + 1)) for _ in range(2000)]
+    return randint_rounds(random.Random(seed), ((-5, 5),) * (m + 1), 2000)
+
+
+def _first_mismatch(got: tuple, expected: tuple) -> int:
+    """1-based position of the first entry where two tuples differ."""
+    return next(t for t, (a, b) in enumerate(zip(got, expected), start=1) if a != b)
 
 
 def udmain_reports(n: int, seed: int = DEFAULT_SEED) -> list:
     al = charts.crystal_parameter()
     q = charts.TorusPointB.symbolic(n)
-    pairs = charts.index_pairs(n)
     avars = charts.coordinate_names(n, "A")
     order = avars + ("z",)
     coeffs = {
@@ -377,11 +380,9 @@ def udmain_reports(n: int, seed: int = DEFAULT_SEED) -> list:
         def thunk():
             columns = [exprs[(i, k)].eval_many(points) for k in range(1, i + 1)]
             for pt, trop in zip(points, zip(*columns)):
-                v = ud.chart_to_sharp(n, dict(zip(pairs, pt)))
-                moved = gyt.crystal_power(i, pt[-1], v)
-                for k, amount in enumerate(trop, start=1):
-                    if amount != v.b(k, i + 1) - moved.b(k, i + 1):
-                        return {"point": list(pt), "i": i, "k": k}
+                amounts = gyt.two_max_amounts(pt[-1], gyt.bvals(i, ud.point_to_sharp(n, pt)))
+                if trop != amounts:
+                    return {"point": list(pt), "i": i, "k": _first_mismatch(trop, amounts)}
             return None
 
         return thunk
@@ -390,10 +391,9 @@ def udmain_reports(n: int, seed: int = DEFAULT_SEED) -> list:
         apoints = [pt[:-1] for pt in points]
         columns = [weight_exprs[i].eval_many(apoints) for i in range(1, n + 1)]
         for pt, trop in zip(points, zip(*columns)):
-            wt = gyt.weight(ud.chart_to_sharp(n, dict(zip(pairs, pt))))
-            for i, amount in enumerate(trop, start=1):
-                if amount != wt[i - 1]:
-                    return {"point": list(pt), "i": i}
+            wt = gyt.weight(ud.point_to_sharp(n, pt))
+            if trop != wt:
+                return {"point": list(pt), "i": _first_mismatch(trop, wt)}
         return None
 
     def soundness():

@@ -60,6 +60,18 @@ class TestVerify:
         assert code == 0
         assert "259/259 checks hold" in out
 
+    def test_sharp_axioms_at_its_cap(self, capsys):
+        # four free-crystal, three Weyl and one tableau-oracle check
+        code, out = run(capsys, "verify", "sharp-axioms", "--n", "8")
+        assert code == 0
+        assert "8/8 checks hold" in out
+
+    def test_ud_main_at_its_cap(self, capsys):
+        # eight action checks, the weight check and the soundness check
+        code, out = run(capsys, "verify", "ud-main", "--n", "8")
+        assert code == 0
+        assert "10/10 checks hold" in out
+
     def test_verma_at_its_cap(self, capsys):
         # ten rank-2 pairs at n=5, each in matrix form and in the ratio chart
         code, out = run(capsys, "verify", "verma", "--n", "5")

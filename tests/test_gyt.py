@@ -194,6 +194,26 @@ class TestPowers:
         assert crystal_power(i, z, v) == expected
 
 
+class TestPowerMovesTwoColumns:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_slots_move_by_the_amounts(self, data):
+        """crystal_power(i, z, v) moves slot (k, i+1) by minus the k-th
+        two-max amount and slot (k, i) by plus it, k < i, and no other slot."""
+        n = data.draw(st.integers(1, 6))
+        size = len(index_pairs(n))
+        v = sharp(n, *data.draw(st.lists(st.integers(-30, 30), min_size=size, max_size=size)))
+        i = data.draw(st.integers(1, n))
+        z = data.draw(st.integers(-60, 60))
+        amounts = two_max_amounts(z, bvals(i, v))
+        expected = dict(v.entries)
+        for k, amount in enumerate(amounts, start=1):
+            expected[(k, i + 1)] -= amount
+            if k < i:
+                expected[(k, i)] += amount
+        assert dict(crystal_power(i, z, v).entries) == expected
+
+
 class TestWeyl:
     def test_zero_pairing_fixes(self):
         rng = random.Random(77)
@@ -400,6 +420,43 @@ class TestGraphSlice:
         sl = GraphSlice(V, 0)
         assert sl.nodes == [V]
         assert sl.arcs == []
+
+
+class TestStorage:
+    def test_entries_view_is_read_only(self):
+        """A hashed element cannot be changed through its entries: a
+        write raises, and the element, its hash and its set membership
+        stay as they were."""
+        v = sharp(2, 1, 2, 3)
+        nodes = {v}
+        before = hash(v)
+        with pytest.raises(TypeError):
+            v.entries[(1, 2)] = 5
+        with pytest.raises((TypeError, AttributeError)):
+            v.entries.update({(1, 2): 5})
+        assert v.b(1, 2) == 1 and hash(v) == before
+        assert v in nodes and v == next(iter(nodes))
+
+    def test_entries_follow_the_pair_order(self):
+        for n in range(1, 6):
+            v = sharp(n, *range(len(index_pairs(n))))
+            assert list(v.entries.items()) == list(zip(index_pairs(n), range(len(index_pairs(n)))))
+            assert v.key() == tuple(range(len(index_pairs(n))))
+            assert all(v.b(k, j) == val for (k, j), val in v.entries.items())
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_random_draws_what_randint_draws(self, n):
+        """``random`` and ``random_with`` draw the values, and leave the
+        generator where, one randint per entry in pair order (then one per
+        extra range) leaves it."""
+        fast, slow = random.Random(n), random.Random(n)
+        for top in (1, 2, n, 8):
+            v = SharpElement.random(n, fast)
+            assert v == SharpElement(n, {key: slow.randint(-10, 10) for key in index_pairs(n)})
+            v, draws = SharpElement.random_with(n, fast, ((1, top), (-3, 3)))
+            assert v == SharpElement(n, {key: slow.randint(-10, 10) for key in index_pairs(n)})
+            assert draws == (slow.randint(1, top), slow.randint(-3, 3))
+            assert fast.getstate() == slow.getstate()
 
 
 class TestJson:

@@ -24,6 +24,7 @@ from geomcrystal.ratfun import (
     _remap_terms,
     const,
     parse,
+    randint_rounds,
     var,
 )
 
@@ -852,3 +853,47 @@ class TestReduced:
             assert result == expected
             assert result.cert == expected.cert
             assert _gcd_is_constant(result)
+
+
+class TestRandintRounds:
+    """``randint_rounds`` against successive ``random.Random.randint``
+    calls: the same values and the same generator state afterwards."""
+
+    CODE_BOUNDS = [(-10, 10), (-5, 5), (1, 60), (1, 9)] + [(1, top) for top in range(1, 9)]
+    EDGE_BOUNDS = [(0, 0), (7, 7), (-4, -4)] + [
+        (lo, lo + width - 1)
+        for k in (1, 2, 5, 16, 31, 32, 33, 40)
+        for width in (2**k, 2**k + 1)
+        for lo in (0, -(2**k))
+    ]
+
+    @staticmethod
+    def _reference(rng, bounds, count):
+        return [tuple(rng.randint(lo, hi) for lo, hi in bounds) for _ in range(count)]
+
+    @pytest.mark.parametrize("seed", [0, 7, 31001])
+    @pytest.mark.parametrize("which", ["code", "edge"])
+    def test_matches_randint(self, seed, which):
+        bounds = tuple(self.CODE_BOUNDS if which == "code" else self.EDGE_BOUNDS)
+        for count in (0, 1, 3, 50):
+            fast, slow = random.Random(seed), random.Random(seed)
+            assert randint_rounds(fast, bounds, count) == self._reference(slow, bounds, count)
+            assert fast.getstate() == slow.getstate()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32),
+        bounds=st.lists(
+            st.tuples(st.integers(-(2**40), 2**40), st.integers(0, 2**34)).map(lambda t: (t[0], t[0] + t[1])),
+            max_size=8,
+        ),
+        count=st.integers(0, 5),
+    )
+    def test_matches_randint_on_random_bounds(self, seed, bounds, count):
+        fast, slow = random.Random(seed), random.Random(seed)
+        assert randint_rounds(fast, tuple(bounds), count) == self._reference(slow, bounds, count)
+        assert fast.getstate() == slow.getstate()
+
+    def test_empty_range(self):
+        with pytest.raises(ValueError, match="empty range 3..2"):
+            randint_rounds(random.Random(0), ((0, 5), (3, 2)), 1)

@@ -523,6 +523,19 @@ class TestChartSharpIdentification:
         assert v == SharpElement(2, {(1, 3): 4})
         assert (v.b(1, 2), v.b(1, 3), v.b(2, 3)) == (0, 4, 0)
 
+    def test_lattice_point_is_the_element_tuple(self):
+        """The shift (k, j) -> (k, j+1) keeps the order, so a lattice
+        point's chart coordinates are its element's tuple; a trailing
+        exponent is ignored."""
+        rng = random.Random(3)
+        for n in range(1, 6):
+            pairs = index_pairs(n)
+            assert [(k, j + 1) for k, j in pairs] == sharp_index_pairs(n)
+            pt = tuple(rng.randint(-5, 5) for _ in range(len(pairs) + 1))
+            v = ud.point_to_sharp(n, pt)
+            assert v == chart_to_sharp(n, dict(zip(pairs, pt)))
+            assert v.key() == pt[:-1]
+
     def test_builds_without_revalidating(self, monkeypatch):
         def refuse(self, n, entries):
             raise AssertionError("validating constructor called")
@@ -576,6 +589,31 @@ def _assert_sound_on_grid(radius):
         assert tropicalize(f, vars).eval_many(pts) == degree_oracle_many(f, vars, pts), name
 
 
+def _crystal_side_witnesses(n, points, exprs) -> list:
+    """The witnesses of ud-main's action checks (i = 1..n) and weight
+    check, found point by point: each point goes through
+    ``chart_to_sharp``, and each amount is read off ``crystal_power`` as
+    the drop of slot (k, i+1)."""
+    pairs = index_pairs(n)
+
+    def first_action_mismatch(i):
+        for pt in points:
+            v = chart_to_sharp(n, dict(zip(pairs, pt)))
+            moved = gyt.crystal_power(i, pt[-1], v)
+            for k in range(1, i + 1):
+                if exprs[f"coeff{(i, k)}"].eval(pt) != v.b(k, i + 1) - moved.b(k, i + 1):
+                    return {"point": list(pt), "i": i, "k": k}
+
+    def first_weight_mismatch():
+        for pt in points:
+            wt = gyt.weight(chart_to_sharp(n, dict(zip(pairs, pt))))
+            for i in range(1, n + 1):
+                if exprs[f"weight{i}"].eval(pt[:-1]) != wt[i - 1]:
+                    return {"point": list(pt), "i": i}
+
+    return [first_action_mismatch(i) for i in range(1, n + 1)] + [first_weight_mismatch()]
+
+
 class TestUdMainLattice:
     def test_batch_oracle_matches_subst_monomial(self):
         points = verify._lattice_points(3, verify.DEFAULT_SEED)
@@ -621,7 +659,6 @@ class TestUdMainLattice:
         monkeypatch.setattr(ud, "tropicalize", faulty)
         reports = verify.udmain_reports(n)
         points = verify._lattice_points(n, verify.DEFAULT_SEED)
-        pairs = index_pairs(n)
 
         def first_unsound():
             for pt in points:
@@ -630,24 +667,45 @@ class TestUdMainLattice:
                     if exprs[name].eval(val) != degree_oracle(f, dict(zip(vars, val))):
                         return {"point": list(pt), "formula": name}
 
-        def first_action_mismatch(i):
-            for pt in points:
-                v = chart_to_sharp(n, dict(zip(pairs, pt)))
-                moved = gyt.crystal_power(i, pt[-1], v)
-                for k in range(1, i + 1):
-                    if exprs[f"coeff{(i, k)}"].eval(pt) != v.b(k, i + 1) - moved.b(k, i + 1):
-                        return {"point": list(pt), "i": i, "k": k}
-
-        def first_weight_mismatch():
-            for pt in points:
-                wt = gyt.weight(chart_to_sharp(n, dict(zip(pairs, pt))))
-                for i in range(1, n + 1):
-                    if exprs[f"weight{i}"].eval(pt[:-1]) != wt[i - 1]:
-                        return {"point": list(pt), "i": i}
-
-        expected = [first_action_mismatch(i) for i in range(1, n + 1)]
-        expected += [first_weight_mismatch(), first_unsound()]
+        expected = _crystal_side_witnesses(n, points, exprs) + [first_unsound()]
         assert expected[-1] is not None
         for report, witness in zip(reports, expected):
+            assert report.holds is (witness is None), report.check
+            assert report.counterexample == witness, report.check
+
+    @pytest.mark.parametrize("fault", ["amount", "weight-step"])
+    def test_crystal_side_fault_is_found_where_a_point_loop_finds_it(self, monkeypatch, fault):
+        """One wrong crystal amount (at one point, one direction and one
+        row) or one wrong weight step (at one point and one direction)
+        fails the check a per-point loop over ``chart_to_sharp`` and
+        ``crystal_power`` fails, with the same witness."""
+        n = 3
+        points = verify._lattice_points(n, verify.DEFAULT_SEED)
+        pt = points[700]
+        v = chart_to_sharp(n, dict(zip(index_pairs(n), pt)))
+        if fault == "amount":
+            i, k = 3, 2
+            target = (pt[-1], gyt.bvals(i, v))
+            amounts = gyt.two_max_amounts
+
+            def faulty(beta, bs):
+                out = amounts(beta, bs)
+                if (beta, tuple(bs)) == target:
+                    out = out[: k - 1] + (out[k - 1] + 1,) + out[k:]
+                return out
+
+            monkeypatch.setattr(gyt, "two_max_amounts", faulty)
+        else:
+            step = gyt._weight_step
+
+            def faulty(i, u):
+                return step(i, u) + (1 if (i, u) == (2, v) else 0)
+
+            monkeypatch.setattr(gyt, "_weight_step", faulty)
+        reports = verify.udmain_reports(n)
+        exprs = {name: tropicalize(f, vars) for name, f, vars in _udmain_formulas(n)}
+        expected = _crystal_side_witnesses(n, points, exprs) + [None]
+        assert sum(w is not None for w in expected) == 1
+        for report, witness in zip(reports, expected, strict=True):
             assert report.holds is (witness is None), report.check
             assert report.counterexample == witness, report.check

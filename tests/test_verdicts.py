@@ -3,11 +3,13 @@
 Each section runs one suite (``positivity``, ``sharp-axioms`` or
 ``ud-main``) at n = 1..4 on the seeds 31001 and 7, renders the check
 name, verdict and counterexample of every report, and compares the
-sha256 of the rendering with a pinned digest.  A change to the
-evaluation kernels (``RatFun.eval``, the crystal operators, the batched
-tropical checks) must leave every check, verdict and counterexample
-unchanged; a failure names the suite that differs.  To see what changed,
-print ``"\\n".join(lines(suite))`` on both versions and diff the output.
+sha256 of the rendering with a pinned digest.  ``positivity`` and
+``sharp-axioms`` are pinned at n = 5 as well, a digest of their own, as
+the pointwise benchmark runs them there.  A change to the evaluation
+kernels (``RatFun.eval``, the crystal operators, the batched tropical
+checks) must leave every check, verdict and counterexample unchanged; a
+failure names the suite that differs.  To see what changed, print
+``"\\n".join(lines(suite))`` on both versions and diff the output.
 
 The witness tests inject one fault per witness shape into the symbolic
 suites and check that a failing report names a location, never a value.
@@ -27,10 +29,10 @@ SEEDS = (31001, 7)
 RANKS = (1, 2, 3, 4)
 
 
-def lines(suite: str) -> list:
+def lines(suite: str, ranks: tuple = RANKS) -> list:
     out = []
     for seed in SEEDS:
-        for n in RANKS:
+        for n in ranks:
             for r in run_suite(suite, n, seed):
                 witness = json.dumps(r.counterexample, sort_keys=True)
                 out.append(f"seed={seed} {r.check} | {r.holds} | {witness}")
@@ -43,15 +45,25 @@ DIGESTS = {
     "ud-main": "22024928a90c273dce1191f10f28b679ee82fcffbaf7513c1aab98fb8a39e85d",
 }
 
+DIGESTS_AT_RANK_FIVE = {
+    "positivity": "71d0ddd62bf4fcd945ec73e332d18db5046149d13d91f89e66128d8a03394c20",
+    "sharp-axioms": "3c6856866731b5bd5fc29c5d8793c31c71670318401c4459c0e851a2cb27e78b",
+}
 
-def digest(suite: str) -> str:
-    text = "\n".join(lines(suite)) + "\n"
+
+def digest(suite: str, ranks: tuple = RANKS) -> str:
+    text = "\n".join(lines(suite, ranks)) + "\n"
     return hashlib.sha256(text.encode()).hexdigest()
 
 
 @pytest.mark.parametrize("suite", sorted(DIGESTS))
 def test_verdicts_unchanged(suite):
     assert digest(suite) == DIGESTS[suite], f"verdicts of suite {suite!r} differ"
+
+
+@pytest.mark.parametrize("suite", sorted(DIGESTS_AT_RANK_FIVE))
+def test_verdicts_unchanged_at_rank_five(suite):
+    assert digest(suite, (5,)) == DIGESTS_AT_RANK_FIVE[suite], f"verdicts of suite {suite!r} at n=5 differ"
 
 
 def _witnesses(reports) -> dict:
