@@ -108,9 +108,6 @@ class MatRF:
                     return {"entry": [i + 1, j + 1]}
         return None
 
-    def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "MatRF":
-        return MatRF([[self.rows[i][j] for j in col_idx] for i in row_idx])
-
     def det(self) -> RatFun:
         return _det(self.rows)
 
@@ -124,33 +121,32 @@ class MatRF:
         return f"MatRF(size={self.size})"
 
 
-def _det(rows: list) -> RatFun:
-    """Cofactor expansion along the columns in order, skipping structural
-    zeros.  Once the first d columns are expanded, the minor left depends
-    only on the rows that remain, so each distinct minor is expanded once:
-    O(m * 2**m) products."""
-    m = len(rows)
+def _minors(rows: list):
+    """``minor(live)``: the minor on rows ``live`` (ascending) and the
+    first len(live) columns, by cofactor expansion along its last column,
+    skipping structural zeros.  Expanding drops one row and the last
+    column, so every sub-minor is again such a minor; one memo serves
+    every call, and each distinct minor is expanded once:
+    O(m * 2**m) products over all minors of an m-row matrix."""
     memo: dict = {}
 
     def minor(live: tuple) -> RatFun:
-        # the minor on rows ``live`` and the last len(live) columns
         size = len(live)
-        col = m - size
         if size == 1:
-            return rows[live[0]][col]
+            return rows[live[0]][0]
         if live in memo:
             return memo[live]
         if size == 2:
-            (a, b), (c, d) = (rows[r][col : col + 2] for r in live)
+            (a, b), (c, d) = (rows[r][:2] for r in live)
             out = a * d - b * c
         else:
             out = None
             for pos, r in enumerate(live):
-                pivot = rows[r][col]
+                pivot = rows[r][size - 1]
                 if pivot.is_zero:
                     continue
                 term = pivot * minor(live[:pos] + live[pos + 1 :])
-                if pos % 2:
+                if (size - 1 - pos) % 2:
                     term = -term
                 out = term if out is None else out + term
             if out is None:
@@ -158,7 +154,12 @@ def _det(rows: list) -> RatFun:
         memo[live] = out
         return out
 
-    return minor(tuple(range(m)))
+    return minor
+
+
+def _det(rows: list) -> RatFun:
+    """Determinant of a square matrix: the full minor of :func:`_minors`."""
+    return _minors(rows)(tuple(range(len(rows))))
 
 
 class TorusElem:
@@ -339,19 +340,21 @@ def phi(i: int, u: MatRF) -> RatFun:
 
 def corner_minor(i: int, u: MatRF) -> RatFun:
     """Determinant of the lower-left i x i block (last i rows, first i
-    columns)."""
+    columns), expanded along its last column by :func:`_minors`."""
     _check_index(i, u.rank)
-    m = u.size
-    return u.submatrix(range(m - i, m), range(i)).det()
+    return _minors(u.rows)(tuple(range(u.size - i, u.size)))
 
 
 def torus_weight(u: MatRF) -> TorusElem:
     """Product over i of coroot(i, 1/corner_minor(i, u)); the torus part
-    of the Borel embedding and the weight map of the induced crystal."""
-    n = u.rank
-    out = TorusElem.identity(u.size)
+    of the Borel embedding and the weight map of the induced crystal.
+    Corner minor i-1 is a sub-minor of corner minor i, so all n come
+    from one :func:`_minors` memo."""
+    n, m = u.rank, u.size
+    minor = _minors(u.rows)
+    out = TorusElem.identity(m)
     for i in range(1, n + 1):
-        m_i = corner_minor(i, u)
+        m_i = minor(tuple(range(m - i, m)))
         if m_i.is_zero:
             raise TorusUndefined(f"corner minor {i} is identically zero")
         out = out * coroot(i, m_i**-1, n)

@@ -35,8 +35,8 @@ SHARP_CASES = 1000  # seeded draws per free-crystal and Weyl check
 SUITE_CAPS = {
     "verma": 5,
     "prop43": 4,
-    "axioms": 5,
-    "umorphism": 6,
+    "axioms": 8,
+    "umorphism": 8,
     "fi-mi": 8,
     "positivity": 7,
     "sharp-axioms": 8,

@@ -41,7 +41,7 @@ def test_criterion_01_verma_relations():
 def test_criterion_02_geometric_crystal_axioms():
     started = time.perf_counter()
     reports = []
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 4, 5):
         reports.extend(verify.axiom_reports(n))
     _report("2 (unit action and weight equivariance)", reports, started)
 
@@ -49,7 +49,7 @@ def test_criterion_02_geometric_crystal_axioms():
 def test_criterion_03_minor_and_phi_formulas():
     started = time.perf_counter()
     reports = []
-    for n in (1, 2, 3, 4):
+    for n in (1, 2, 3, 4, 5, 6, 7):
         reports.extend(verify.minor_reports(n))
     _report("3 (corner-minor product and column-sum formulas)", reports, started)
 

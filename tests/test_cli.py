@@ -49,10 +49,17 @@ class TestVerify:
         assert code == 0
         assert "4/4 checks hold" in out
 
-    def test_umorphism_at_its_cap(self, capsys):
-        code, out = run(capsys, "verify", "umorphism", "--n", "6")
+    def test_axioms_at_its_cap(self, capsys):
+        # unit action, weight equivariance and one-parameter law per direction
+        code, out = run(capsys, "verify", "axioms", "--n", "8")
         assert code == 0
-        assert "FAIL" not in out
+        assert "24/24 checks hold" in out
+
+    def test_umorphism_at_its_cap(self, capsys):
+        # embedding equivariance and torus compatibility per direction
+        code, out = run(capsys, "verify", "umorphism", "--n", "8")
+        assert code == 0
+        assert "16/16 checks hold" in out
 
     def test_positivity_at_its_cap(self, capsys):
         # seven weight components, 7 * 28 action and 2 * 28 chart-change components

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -27,7 +29,7 @@ from geomcrystal.slgroup import (
     x_elem,
     y_elem,
 )
-from geomcrystal.slgroup import _det
+from geomcrystal.slgroup import _det, _minors
 
 a, s, t, c = var("a"), var("s"), var("t"), var("c")
 
@@ -148,6 +150,27 @@ def _cofactor_det(rows):
     return total if total is not None else const(0)
 
 
+def _last_column_det(rows):
+    """Plain cofactor expansion along the last column, with no memo: the
+    summation order of ``_det``, so the same unreduced num/den."""
+    m = len(rows)
+    if m == 1:
+        return rows[0][0]
+    if m == 2:
+        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+    total = None
+    for i in range(m):
+        if rows[i][m - 1].is_zero:
+            continue
+        term = rows[i][m - 1] * _last_column_det(
+            [row[: m - 1] for r, row in enumerate(rows) if r != i]
+        )
+        if (m - 1 - i) % 2:
+            term = -term
+        total = term if total is None else total + term
+    return total if total is not None else const(0)
+
+
 _x, _y = var("x"), var("y")
 _ENTRIES = (
     const(0),
@@ -173,13 +196,25 @@ class TestDeterminant:
     @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(_square)
     def test_matches_plain_cofactor_expansion(self, rows):
-        got, expected = _det(rows), _cofactor_det(rows)
-        assert got == expected
-        assert str(got) == str(expected)  # the same canonical form
+        got = _det(rows)
+        assert got == _cofactor_det(rows)  # an independent order, equal in value
+        assert str(got) == str(_last_column_det(rows))  # the memo changes no form
 
-    def test_expands_each_minor_once(self, monkeypatch):
-        m = 7
-        rows = MatRF([[var(f"x[{i},{j}]") for j in range(m)] for i in range(m)]).rows
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(_square)
+    def test_shared_memo_matches_each_minor_alone(self, rows):
+        m = len(rows)
+        minor = _minors(rows)
+        minor(tuple(range(m)))  # fill the memo from the full determinant first
+        for size in range(1, m + 1):
+            for live in itertools.combinations(range(m), size):
+                alone = _det([rows[r][:size] for r in live])
+                assert minor(live) == alone
+                assert str(minor(live)) == str(alone)
+
+    @staticmethod
+    def _count_products(monkeypatch) -> list:
+        """Patch ``RatFun.__mul__`` to append to the returned list per call."""
         products = []
         mul = RatFun.__mul__
 
@@ -188,10 +223,28 @@ class TestDeterminant:
             return mul(f, g)
 
         monkeypatch.setattr(RatFun, "__mul__", counted)
+        return products
+
+    def test_expands_each_minor_once(self, monkeypatch):
+        m = 7
+        rows = MatRF([[var(f"x[{i},{j}]") for j in range(m)] for i in range(m)]).rows
+        products = self._count_products(monkeypatch)
         det = _det(rows)
         assert len(products) <= m * 2 ** (m - 1)
         assert len(det.num.terms) == 5040  # one term per permutation
         assert det.den.terms == {0: 1}
+
+    def test_corner_minors_share_one_expansion(self, monkeypatch):
+        # the m corner minors of an (m+1)x(m+1) matrix, taken one at a
+        # time, cost 741 products at m=7; shared, they cost what the
+        # largest alone does, at most m * 2**(m-1)
+        m = 7
+        u = MatRF([[var(f"x[{i},{j}]") for j in range(m + 1)] for i in range(m + 1)])
+        products = self._count_products(monkeypatch)
+        weight = torus_weight(u)
+        assert len(products) <= m * 2 ** (m - 1) + m * (m + 1)  # plus the coroot products
+        assert len(weight.diag[0].den.terms) == 1  # 1 / corner minor 1, one entry
+        assert len(weight.diag[m].num.terms) == 5040  # corner minor m, a full determinant
 
     def test_empty_matrix_rejected(self):
         with pytest.raises(ValueError):
@@ -274,6 +327,27 @@ class TestUnipotentData:
     def test_torus_weight_undefined_at_identity(self):
         with pytest.raises(TorusUndefined):
             torus_weight(MatRF.identity(3))
+
+    def test_torus_weight_names_first_zero_minor(self):
+        # corner minor 1 is t*a; corner minor 2 is a*t - t*a
+        u = y_elem(2, t, 2) * y_elem(1, a, 2)
+        with pytest.raises(TorusUndefined, match="^corner minor 2 is identically zero$"):
+            torus_weight(u)
+
+    def test_torus_weight_matches_minors_one_at_a_time(self):
+        def one_at_a_time(u):
+            out = TorusElem.identity(u.size)
+            for i in range(1, u.rank + 1):
+                out = out * coroot(i, 1 / corner_minor(i, u), u.rank)
+            return out
+
+        al = var("al")
+        for n in (1, 2, 3, 4):
+            u = generic_unipotent(n)
+            for v in (u, *(crystal_act(i, al, u) for i in range(1, n + 1))):
+                got, expected = torus_weight(v), one_at_a_time(v)
+                assert got == expected
+                assert repr(got) == repr(expected)
 
     def test_phi_column_sums(self):
         for n in (1, 2, 3):
