@@ -14,6 +14,7 @@ is a fresh symbol named ``z`` when not supplied numerically.
 
 from __future__ import annotations
 
+import operator
 from functools import reduce
 from typing import Mapping, Sequence
 
@@ -36,35 +37,34 @@ def coordinate_names(n: int, chart: str) -> tuple:
     return tuple(x.variables[0] for x in symbolic_lower_coords(n, chart).values())
 
 
-def _sum(values, add=RatFun.__add__) -> RatFun:
+def _sum(values) -> RatFun:
     values = list(values)
     if not values:
         raise ValueError("empty sum has no subtraction-free form")
-    return reduce(add, values)
+    return reduce(operator.add, values)
 
 
-def _prod(values, mul=RatFun.__mul__) -> RatFun:
-    return reduce(mul, values, RatFun.const(1))
+def _prod(values) -> RatFun:
+    return reduce(operator.mul, values, RatFun.const(1))
 
 
-def _mixed_sum(column: Sequence, k: int, alpha, add=RatFun.__add__, mul=RatFun.__mul__) -> RatFun:
+def _mixed_sum(column: Sequence, k: int, alpha) -> RatFun:
     """alpha times the sum of the first k entries plus the sum of the
-    rest; an empty part drops out.  ``add`` and ``mul`` are the
-    arithmetic: the plain operators, or the reduced ones of the ratio
-    chart."""
+    rest; an empty part drops out."""
     head, tail = column[:k], column[k:]
     if not head:
-        return _sum(tail, add)
-    total = mul(_sum(head, add), alpha)
-    return add(total, _sum(tail, add)) if tail else total
+        return _sum(tail)
+    total = _sum(head) * alpha
+    return total + _sum(tail) if tail else total
 
 
 def _column_ratio(coords: Mapping, k: int, j: int) -> RatFun:
     """prod_{l<=k} A_{l,j} / prod_{l<=k-1} A_{l,j-1}: a factor-chart
-    coordinate in ratio coordinates, reduced when the coordinates are."""
-    num = _prod((coords[(l, j)] for l in range(1, k + 1)), RatFun.reduced_mul)
-    den = _prod((coords[(l, j - 1)] for l in range(1, k)), RatFun.reduced_mul)
-    return num.reduced_div(den)
+    coordinate in ratio coordinates, in lowest terms when the coordinates
+    are."""
+    num = _prod(coords[(l, j)] for l in range(1, k + 1))
+    den = _prod(coords[(l, j - 1)] for l in range(1, k))
+    return num / den
 
 
 class _ChartPoint:
@@ -191,11 +191,8 @@ def ratio_act_coefficients(i: int, coords: Mapping, alpha) -> list:
     rank is the largest column of ``coords``."""
     check_direction(i, max(j for _, j in coords))
     ladders = [_column_ratio(coords, j, i) for j in range(1, i + 1)]
-    mix = [
-        _mixed_sum(ladders, k, alpha, RatFun.reduced_add, RatFun.reduced_mul)
-        for k in range(i + 1)
-    ]
-    return [mix[k].reduced_div(mix[k - 1]) for k in range(1, i + 1)]
+    mix = [_mixed_sum(ladders, k, alpha) for k in range(i + 1)]
+    return [mix[k] / mix[k - 1] for k in range(1, i + 1)]
 
 
 def ratio_act_coefficient(i: int, k: int, coords: Mapping, alpha) -> RatFun:
@@ -218,8 +215,8 @@ class TorusPointB(_ChartPoint):
         mixing ratios, column i is divided by them, all else fixed."""
         coeff = ratio_act_coefficients(i, self.coords, as_ratfun(alpha))
         return self._moved({
-            i - 1: lambda k, value: coeff[k - 1].reduced_mul(value),
-            i: lambda k, value: value.reduced_div(coeff[k - 1]),
+            i - 1: lambda k, value: coeff[k - 1] * value,
+            i: lambda k, value: value / coeff[k - 1],
         })
 
     def to_factor(self) -> TorusPointA:

@@ -7,26 +7,25 @@ extensional, decided by cross multiplication of the expanded forms, so a
 fraction need not be in lowest terms.  The normalization every value gets
 is cheap bookkeeping: common monomial content is cancelled, unused
 variables are dropped, the joint integer content of numerator and
-denominator is divided out, the graded-lexicographically leading
-coefficient of the denominator is made positive, and structurally
-identical factors cancel across a product or quotient.  This keeps the
+denominator is divided out, and the graded-lexicographically leading
+coefficient of the denominator is made positive.  This keeps the
 representation deterministic and printable bit-stably; the printed form
 divides through by that leading coefficient, so it shows a monic
 denominator.  Multiplying by one, or dividing by it, reuses the other
 operand's normalized num and den as they are, and ``RatFun.const(0)`` and
 ``RatFun.const(1)`` return the shared values ``ZERO`` and ``ONE``.
 
-Polynomial GCD cancellation is a separate, explicit step:
-:meth:`RatFun.reduced`, and the operations :meth:`RatFun.reduced_add`,
-:meth:`RatFun.reduced_mul` and :meth:`RatFun.reduced_div`, which cancel
-gcds of the factors before a sum or product is formed (Henrici).  The gcd
-is the heuristic GCDHEU, verified by exact division; when it finds no
-gcd, the value is left as it is, which is always sound.  Only the ratio
-chart calls these, in its action and its change to the factor chart:
-iterated actions otherwise swell to operands of thousands of terms.  The
-plain operators do not reduce, so every value built without them, the
-factor chart's included, keeps the printed form it has always had; some
-of those forms have a nontrivial gcd.
+The operators ``+ - * /`` cancel polynomial gcds as they go (Henrici,
+JACM 1956): a product cancels each numerator against the other
+denominator before it multiplies, and a sum cancels the gcd g of the
+denominators and then only g against the new numerator, so on reduced
+operands the result is reduced without taking the gcd of the large
+expanded result.  :meth:`RatFun.reduced` is the one explicit step, for a
+value built some other way.  The gcd is the heuristic GCDHEU, verified by
+exact division; when it finds none, or declines to try, the value is left
+as it is, which is always sound: equality is extensional.  Without the
+cancellation, iterated crystal actions and matrix products swell to
+operands of thousands of terms.
 
 Values built exclusively from variables, positive rational constants,
 ``+``, ``*`` and ``/`` carry a subtraction-free certificate: the
@@ -790,22 +789,30 @@ class RatFun:
 
     def __add__(self, other) -> "RatFun":
         other = as_ratfun(other)
-        cert = _joint_cert(_cadd, self, other)
-        if self.den == other.den:  # shared denominator: no cross multiplication
-            return RatFun(self.num + other.num, self.den, cert)
-        return RatFun(
-            self.num * other.den + other.num * self.den,
-            self.den * other.den,
-            cert,
-        )
+        return self._sum(other.num, other.den, _joint_cert(_cadd, self, other))
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "RatFun":
         other = as_ratfun(other)
-        if self.den == other.den:
-            return RatFun(self.num - other.num, self.den)
-        return RatFun(self.num * other.den - other.num * self.den, self.den * other.den)
+        return self._sum(-other.num, other.den, None)
+
+    def _sum(self, c: Poly, d: Poly, cert) -> "RatFun":
+        """``self + c/d`` with certificate ``cert``.  With g the gcd of the
+        denominators b and d, the sum is (a*(d/g) + c*(b/g)) / (b*d/g), and
+        only g can share a factor with that numerator."""
+        a, b = self.num, self.den
+        if b == d:  # shared denominator: no cross multiplication
+            return RatFun(a + c, b, cert).reduced()
+        found = _gcd(b, d, cert is not None)
+        if found is None:
+            return RatFun(a * d + c * b, b * d, cert)
+        g, b, d = found
+        num = a * d + c * b
+        found = _gcd(num, g, cert is not None)
+        if found is not None:
+            _, num, g = found
+        return RatFun(num, b * d * g, cert)
 
     def __rsub__(self, other) -> "RatFun":
         return as_ratfun(other) - self
@@ -825,12 +832,7 @@ class RatFun:
             return RatFun._wrap(self.num, self.den, cert)
         if self._is_one:
             return RatFun._wrap(other.num, other.den, cert)
-        # structurally equal cross factors cancel without expansion
-        if self.den == other.num:
-            return RatFun(self.num, other.den, cert)
-        if self.num == other.den:
-            return RatFun(other.num, self.den, cert)
-        return RatFun(self.num * other.num, self.den * other.den, cert)
+        return self._product(other.num, other.den, cert)
 
     __rmul__ = __mul__
 
@@ -841,12 +843,24 @@ class RatFun:
         cert = _joint_cert(CDiv, self, other)
         if other._is_one:
             return RatFun._wrap(self.num, self.den, cert)
-        # structurally equal parallel factors cancel without expansion
-        if self.den == other.den:
-            return RatFun(self.num, other.num, cert)
-        if self.num == other.num:
-            return RatFun(other.den, self.den, cert)
-        return RatFun(self.num * other.den, self.den * other.num, cert)
+        return self._product(other.den, other.num, cert)
+
+    def _product(self, c: Poly, d: Poly, cert) -> "RatFun":
+        """``self * c/d`` with certificate ``cert``, each numerator
+        cancelled against the other denominator first; a structurally
+        equal pair cancels without expansion."""
+        a, b = self.num, self.den
+        if c == b:
+            return RatFun(a, d, cert).reduced()
+        if a == d:
+            return RatFun(c, b, cert).reduced()
+        found = _gcd(a, d, cert is not None)
+        if found is not None:
+            _, a, d = found
+        found = _gcd(c, b, cert is not None)
+        if found is not None:
+            _, c, b = found
+        return RatFun(a * c, b * d, cert)
 
     def __rtruediv__(self, other) -> "RatFun":
         return as_ratfun(other) / self
@@ -868,49 +882,6 @@ class RatFun:
         sound: equality is extensional."""
         found = _gcd(self.num, self.den, self.cert is not None)
         return self if found is None else RatFun(found[1], found[2], self.cert)
-
-    # Henrici (JACM 1956): on reduced operands, cancelling gcds of the
-    # factors before a product or sum is formed leaves a reduced result,
-    # and never takes the gcd of the large expanded result itself.
-
-    def reduced_add(self, other: "RatFun") -> "RatFun":
-        """``self + other`` with the same certificate: with g the gcd of
-        the denominators b and d, the sum is (a*(d/g) + c*(b/g)) / (b*d/g),
-        and only g can share a factor with that numerator."""
-        cert = _joint_cert(_cadd, self, other)
-        found = _gcd(self.den, other.den, cert is not None)
-        if found is None:
-            return self + other
-        g, b, d = found
-        num = self.num * d + other.num * b
-        found = _gcd(num, g, cert is not None)
-        if found is not None:
-            _, num, g = found
-        return RatFun(num, b * d * g, cert)
-
-    def reduced_mul(self, other: "RatFun") -> "RatFun":
-        """``self * other`` with the same certificate, each numerator
-        cancelled against the other denominator first."""
-        cert = _joint_cert(_cmul, self, other)
-        return self._cross_reduced(other.num, other.den, cert)
-
-    def reduced_div(self, other: "RatFun") -> "RatFun":
-        """``self / other`` with the same certificate, cancelled as
-        :meth:`reduced_mul` cancels."""
-        if other.is_zero:
-            raise ZeroDivisionError("division by the zero rational function")
-        cert = _joint_cert(CDiv, self, other)
-        return self._cross_reduced(other.den, other.num, cert)
-
-    def _cross_reduced(self, num: Poly, den: Poly, cert) -> "RatFun":
-        a, b = self.num, self.den
-        found = _gcd(a, den, cert is not None)
-        if found is not None:
-            _, a, den = found
-        found = _gcd(num, b, cert is not None)
-        if found is not None:
-            _, num, b = found
-        return RatFun(a * num, b * den, cert)
 
     # -- evaluation / substitution -------------------------------------------
 

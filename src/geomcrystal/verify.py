@@ -9,13 +9,12 @@ Symbolic checks are universally quantified: they run on generic points
 with fresh symbols.  For the relation checks in ratio coordinates
 the generic point is pulled back through the birational
 chart change (the identity in the pulled-back coordinates is equivalent
-to the identity in the chart's own function field).  The ratio-chart
-action cancels polynomial gcds as it goes (``RatFun.reduced_mul`` and
-its siblings), so both sides stay in lowest terms and small; the
+to the identity in the chart's own function field).  The arithmetic
+operators cancel polynomial gcds as they go, so both sides of a check,
+in matrix form or in either chart, stay in lowest terms and small; the
 comparison is still extensional, so a gcd the heuristic misses costs
-time, never a verdict.  The matrix-form and factor-chart checks do not
-reduce.  Randomized checks draw from seeded generators so every run is
-reproducible.
+time, never a verdict.  Randomized checks draw from seeded generators so
+every run is reproducible.
 """
 
 from __future__ import annotations
@@ -33,8 +32,8 @@ POSITIVITY_POINTS = 100  # seeded evaluation points per positivity check
 SHARP_CASES = 1000  # seeded draws per free-crystal and Weyl check
 
 SUITE_CAPS = {
-    "verma": 5,
-    "prop43": 4,
+    "verma": 6,
+    "prop43": 8,
     "axioms": 8,
     "umorphism": 8,
     "fi-mi": 8,

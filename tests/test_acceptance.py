@@ -57,7 +57,7 @@ def test_criterion_03_minor_and_phi_formulas():
 def test_criterion_04_chart_action_vs_gauss():
     started = time.perf_counter()
     reports = []
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 4, 5):
         reports.extend(verify.prop43_reports(n))
     _report("4 (factor-chart closed form vs Gauss-decomposition action)", reports, started)
 

@@ -45,9 +45,9 @@ class TestVerify:
             assert "FAIL" not in out
 
     def test_prop43_at_its_cap(self, capsys):
-        code, out = run(capsys, "verify", "prop43", "--n", "4")
+        code, out = run(capsys, "verify", "prop43", "--n", "8")
         assert code == 0
-        assert "4/4 checks hold" in out
+        assert "8/8 checks hold" in out
 
     def test_axioms_at_its_cap(self, capsys):
         # unit action, weight equivariance and one-parameter law per direction
@@ -80,10 +80,10 @@ class TestVerify:
         assert "10/10 checks hold" in out
 
     def test_verma_at_its_cap(self, capsys):
-        # ten rank-2 pairs at n=5, each in matrix form and in the ratio chart
-        code, out = run(capsys, "verify", "verma", "--n", "5")
+        # fifteen rank-2 pairs at n=6, each in matrix form and in the ratio chart
+        code, out = run(capsys, "verify", "verma", "--n", "6")
         assert code == 0
-        assert "20/20 checks hold" in out
+        assert "30/30 checks hold" in out
 
     def test_json_output(self, capsys):
         code, out = run(capsys, "verify", "axioms", "--n", "1", "--json")

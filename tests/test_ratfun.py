@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 from geomcrystal.ratfun import (
     ONE,
     ZERO,
+    CAdd,
     CDiv,
+    CMul,
     PoleError,
     Poly,
     Q,
@@ -840,19 +842,56 @@ class TestReduced:
         assert quotient(2 * x + 2, 2 * x + 1) is None  # 2 is no multiple of 2x
         assert quotient(x**32768 + x, x) is None  # an exponent at 2**15
 
-    @pytest.mark.parametrize("op", ["add", "mul", "div"])
+    @pytest.mark.parametrize("op", ["add", "sub", "mul", "div"])
     def test_henrici_operations(self, op):
-        plain = {"add": RatFun.__add__, "mul": RatFun.__mul__, "div": RatFun.__truediv__}[op]
+        # each operator against the unreduced fraction built directly, and
+        # its result in lowest terms
+        operation, unreduced = {
+            "add": (RatFun.__add__, lambda p, q: RatFun(
+                p.num * q.den + q.num * p.den, p.den * q.den, CAdd((p.cert, q.cert))
+            )),
+            "sub": (RatFun.__sub__, lambda p, q: RatFun(
+                p.num * q.den - q.num * p.den, p.den * q.den
+            )),
+            "mul": (RatFun.__mul__, lambda p, q: RatFun(
+                p.num * q.num, p.den * q.den, CMul((p.cert, q.cert))
+            )),
+            "div": (RatFun.__truediv__, lambda p, q: RatFun(
+                p.num * q.den, p.den * q.num, CDiv(p.cert, q.cert)
+            )),
+        }[op]
         rng = random.Random(8107)
         for _ in range(25):
             names = GCD_NAMES[: rng.randint(1, 4)]
             f, g, h, k = (_positive_value(rng, names) for _ in range(4))
             p, q = ((f * h) / (g * h)).reduced(), ((g * k) / (h * k)).reduced()
-            result = getattr(p, f"reduced_{op}")(q)
-            expected = plain(p, q)
+            result = operation(p, q)
+            expected = unreduced(p, q)
             assert result == expected
             assert result.cert == expected.cert
             assert _gcd_is_constant(result)
+
+    def test_sum_cancels_against_the_shared_denominator_factor(self):
+        # the denominators share x + 1, and so does the new numerator
+        # x*(y + 2) + (x + y + 3) = (x + 1)*(y + 3)
+        f = x / (x + 1) + (x + y + 3) / ((x + 1) * (y + 2))
+        assert str(f) == "(y + 3) / (y + 2)"
+        assert f.positive_cert
+
+    def test_operators_keep_the_certificate(self):
+        # (x^3 + 1)/(x + 1) is x^2 - x + 1, which would lose the
+        # certificate, so each operator leaves the certified value unreduced
+        for f in (
+            (x**3 + 1) * (1 / (x + 1)),
+            (x**3 + 1) / (x + 1),
+            x**3 / (x + 1) + 1 / (x + 1),
+        ):
+            assert f.positive_cert
+            assert str(f) == "(x^3 + 1) / (x + 1)"
+        f = ((x**3 + 1) / (y + 1)) * ((y + 2) / (x + 1))  # the gcd path, not a structural match
+        assert f.positive_cert
+        assert (len(f.num.terms), len(f.den.terms)) == (4, 4)
+        assert f == RatFun((x**3 + 1).num * (y + 2).num, (y + 1).num * (x + 1).num)
 
 
 class TestRandintRounds:

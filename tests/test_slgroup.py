@@ -24,6 +24,7 @@ from geomcrystal.slgroup import (
     gauss_decompose,
     generic_unipotent,
     phi,
+    rank2_relation,
     symbolic_lower_coords,
     torus_weight,
     x_elem,
@@ -460,6 +461,18 @@ class TestIdentityChecks:
 
     def test_commuting_rank_three(self):
         assert check_braid_relation(1, 3, 3)
+
+    def test_braid_matrix_entries_stay_reduced(self):
+        # both sides of the n=3 (e_2, e_3) braid, built as
+        # check_braid_relation builds them; without gcd cancellation in
+        # the operators entry [3,3] of the right side has 116 terms, with
+        # it at most 16 per numerator or denominator
+        sides = rank2_relation(2, 3, crystal_act, generic_unipotent(3))
+        for side in sides:
+            for row in side.rows:
+                for value in row:
+                    assert len(value.num.terms) <= 16 and len(value.den.terms) <= 16
+        assert sides[0] == sides[1]
 
     def test_embed_equivariance(self):
         for n in (1, 2):
