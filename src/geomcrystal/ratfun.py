@@ -866,6 +866,7 @@ class RatFun:
         return as_ratfun(other) / self
 
     def __pow__(self, k: int) -> "RatFun":
+        k = as_int(k)
         if k == 0:
             return RatFun.const(1)
         cert = CPow(self.cert, k) if self.cert is not None else None

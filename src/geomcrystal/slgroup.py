@@ -22,7 +22,7 @@ import json
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .ratfun import RatFun, as_ratfun, var
+from .ratfun import RatFun, as_ratfun, check_direction, var
 
 
 class DecompositionOutsideDomain(ArithmeticError):
@@ -220,14 +220,9 @@ class TorusElem:
 # generators
 
 
-def _check_index(i: int, n: int):
-    if not 1 <= i <= n:
-        raise IndexError(f"generator index {i} out of range 1..{n}")
-
-
 def x_elem(i: int, t, n: int) -> MatRF:
     """I + t*E_{i,i+1}: the upper elementary one-parameter element."""
-    _check_index(i, n)
+    check_direction(i, n)
     mat = MatRF.identity(n + 1)
     mat.rows[i - 1][i] = as_ratfun(t)
     return mat
@@ -235,7 +230,7 @@ def x_elem(i: int, t, n: int) -> MatRF:
 
 def y_elem(i: int, t, n: int) -> MatRF:
     """I + t*E_{i+1,i}: the lower elementary one-parameter element."""
-    _check_index(i, n)
+    check_direction(i, n)
     mat = MatRF.identity(n + 1)
     mat.rows[i][i - 1] = as_ratfun(t)
     return mat
@@ -243,7 +238,7 @@ def y_elem(i: int, t, n: int) -> MatRF:
 
 def coroot(i: int, c, n: int) -> TorusElem:
     """diag(1, ..., c, c^-1, ..., 1) with c in slot i (1-indexed)."""
-    _check_index(i, n)
+    check_direction(i, n)
     c = as_ratfun(c)
     if c.is_zero:
         raise ZeroDivisionError("coroot parameter must be nonzero")
@@ -334,14 +329,14 @@ def gauss_decompose(g: MatRF) -> GaussFactors:
 
 def phi(i: int, u: MatRF) -> RatFun:
     """Entry (i+1, i) of a lower unitriangular element."""
-    _check_index(i, u.rank)
+    check_direction(i, u.rank)
     return u.rows[i][i - 1]
 
 
 def corner_minor(i: int, u: MatRF) -> RatFun:
     """Determinant of the lower-left i x i block (last i rows, first i
     columns), expanded along its last column by :func:`_minors`."""
-    _check_index(i, u.rank)
+    check_direction(i, u.rank)
     return _minors(u.rows)(tuple(range(u.size - i, u.size)))
 
 

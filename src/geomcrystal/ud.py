@@ -1,13 +1,14 @@
 """Structural tropicalization of subtraction-free rational maps.
 
-A certified rational function is rewritten over the max-plus semiring:
+A certified rational function is read over the max-plus semiring:
 multiplication becomes addition, division subtraction, addition becomes
-max, and positive constants become 0.  The rewriting walks the value's
-construction-history certificate, so expression size stays linear in
-the formula.  The independent degree oracle proves pointwise correctness:
-it reads only the expanded num and den, never the certificate, and takes
-the top degree of their Laurent collapse under the monomial co-character.
-Both evaluate a whole batch of points at once (:meth:`TropExpr.eval_many`,
+max, a power a multiple, and positive constants become 0.  The reading
+walks the value's construction-history certificate itself, the one tree
+kept for the formula, so its size stays linear in the formula.  The
+independent degree oracle proves pointwise correctness: it reads only the
+expanded num and den, never the certificate, and takes the top degree of
+their Laurent collapse under the monomial co-character.  Both evaluate a
+whole batch of points at once (:meth:`TropExpr.eval_many`,
 :func:`degree_oracle_many`).
 
 The semiring is (Z, max, +) without minus infinity: a certified value
@@ -20,7 +21,6 @@ from __future__ import annotations
 import itertools
 import operator
 from collections.abc import Mapping
-from dataclasses import dataclass
 
 from .gyt import SharpElement, sharp_pairs
 from .ratfun import (
@@ -41,86 +41,15 @@ class NotPositive(ValueError):
     """Tropicalization requires a subtraction-free certificate."""
 
 
-@dataclass(frozen=True, slots=True)
-class TVar:
-    index: int
-
-
-@dataclass(frozen=True, slots=True)
-class TConst:
-    pass
-
-
-@dataclass(frozen=True, slots=True)
-class TSum:
-    args: tuple
-
-
-@dataclass(frozen=True, slots=True)
-class TDiff:
-    pos: object
-    neg: object
-
-
-@dataclass(frozen=True, slots=True)
-class TMax:
-    args: tuple
-
-
-def tmax(args) -> object:
-    """Max node; a singleton collapses to its child.  An empty max has
-    no value in the semiring."""
-    kept = []
-    for a in args:
-        if isinstance(a, TMax):
-            kept.extend(a.args)
-        else:
-            kept.append(a)
-    if not kept:
-        raise ValueError("max of no arguments")
-    if len(kept) == 1:
-        return kept[0]
-    return TMax(tuple(kept))
-
-
-def tsum(args) -> object:
-    """Sum node; constants drop, a singleton collapses to its child."""
-    kept = []
-    for a in args:
-        if isinstance(a, TSum):
-            kept.extend(a.args)
-        elif not isinstance(a, TConst):
-            kept.append(a)
-    if not kept:
-        return TConst()
-    if len(kept) == 1:
-        return kept[0]
-    return TSum(tuple(kept))
-
-
-def tdiff(pos, neg) -> object:
-    if isinstance(neg, TConst):
-        return pos
-    return TDiff(pos, neg)
-
-
-def _scaled(node, k: int) -> object:
-    if k == 0:
-        return TConst()
-    body = tsum([node] * abs(k))
-    if k > 0:
-        return body
-    return tdiff(TConst(), body)
-
-
 class TropExpr:
-    """Max-plus expression over a fixed ordered variable tuple."""
+    """A certificate read in the max-plus semiring, over a fixed ordered
+    variable tuple."""
 
-    __slots__ = ("vars", "root")
+    __slots__ = ("vars", "cert")
 
-    def __init__(self, vars: tuple, root):
+    def __init__(self, vars: tuple, cert):
         self.vars = tuple(vars)
-        self.root = root
+        self.cert = cert
 
     def eval(self, point):
         """Evaluate at an integer vector (aligned with :attr:`vars`) or a
@@ -131,26 +60,19 @@ class TropExpr:
         """Evaluate at each point of a batch (each as in :meth:`eval`);
         returns a list of ints in point order.
 
-        The batch is coerced once, then the tree is walked once for the
-        whole batch: every node becomes a column over all points, streamed
-        through ``map`` so no intermediate column is kept."""
+        The batch is coerced once, then the certificate is walked once for
+        the whole batch: every node becomes a column over all points,
+        streamed through ``map`` so no intermediate column is kept."""
         points = list(points)
         rows = _int_rows(points, self.vars)
         if rows is None:
             rows = [_coerce_point(point, self.vars) for point in points]
         if not rows:
             return []
-        return list(_column(self.root, list(zip(*rows)), len(rows)))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TropExpr):
-            return NotImplemented
-        return self.vars == other.vars and self.root == other.root
-
-    __hash__ = None
+        return list(_column(self.cert, dict(zip(self.vars, zip(*rows))), len(rows)))
 
     def __str__(self) -> str:
-        return _prefix(self.root, self.vars)
+        return _prefix(self.cert)
 
     def __repr__(self) -> str:
         return f"TropExpr({self})"
@@ -192,37 +114,61 @@ def _coerce_point(point, vars: tuple) -> list:
     return coerced
 
 
-def _column(node, columns: list, count: int):
-    """Iterator over the values of ``node`` at each point; ``columns[i]``
-    holds variable i over the batch of ``count`` points."""
-    if isinstance(node, TVar):
-        return iter(columns[node.index])
-    if isinstance(node, TConst):
-        return itertools.repeat(0, count)
-    if isinstance(node, TSum):
-        total = _column(node.args[0], columns, count)
-        for a in node.args[1:]:
-            total = map(operator.add, total, _column(a, columns, count))
+def _column(node, columns: Mapping, count: int):
+    """Iterator over the max-plus value of the certificate ``node`` at each
+    point; ``columns[name]`` holds that variable over the batch of ``count``
+    points."""
+    if isinstance(node, CVar):
+        return iter(columns[node.name])
+    if isinstance(node, CMul):
+        parts = [_column(a, columns, count) for a in _factors(node)]
+        if not parts:
+            return itertools.repeat(0, count)
+        total = parts[0]
+        for part in parts[1:]:
+            total = map(operator.add, total, part)
         return total
-    if isinstance(node, TDiff):
-        return map(operator.sub, _column(node.pos, columns, count), _column(node.neg, columns, count))
-    if isinstance(node, TMax):
+    if isinstance(node, CAdd):
         return map(max, *(_column(a, columns, count) for a in node.args))
-    raise TypeError(f"unknown node {node!r}")
+    if isinstance(node, CDiv):
+        num = _column(node.num, columns, count)
+        if isinstance(node.den, CConst):
+            return num
+        return map(operator.sub, num, _column(node.den, columns, count))
+    if isinstance(node, CPow):
+        return map(operator.mul, _column(node.base, columns, count), itertools.repeat(node.exponent))
+    if isinstance(node, CConst):
+        return itertools.repeat(0, count)
+    raise TypeError(f"unknown certificate node {node!r}")
 
 
-def _prefix(node, vars: tuple) -> str:
-    if isinstance(node, TVar):
-        return vars[node.index]
-    if isinstance(node, TConst):
+def _prefix(node) -> str:
+    """Prefix text of the max-plus reading of ``node``, by the rules of
+    :func:`_column`: a product drops its constants, and a quotient by a
+    constant is its numerator."""
+    if isinstance(node, CVar):
+        return node.name
+    if isinstance(node, CConst):
         return "0"
-    if isinstance(node, TSum):
-        return "(+ " + " ".join(_prefix(a, vars) for a in node.args) + ")"
-    if isinstance(node, TDiff):
-        return f"(- {_prefix(node.pos, vars)} {_prefix(node.neg, vars)})"
-    if isinstance(node, TMax):
-        return "(max " + " ".join(_prefix(a, vars) for a in node.args) + ")"
-    raise TypeError(f"unknown node {node!r}")
+    if isinstance(node, CAdd):
+        return "(max " + " ".join(map(_prefix, node.args)) + ")"
+    if isinstance(node, CMul):
+        factors = _factors(node)
+        if len(factors) < 2:
+            return _prefix(factors[0]) if factors else "0"
+        return "(+ " + " ".join(map(_prefix, factors)) + ")"
+    if isinstance(node, CDiv):
+        if isinstance(node.den, CConst):
+            return _prefix(node.num)
+        return f"(- {_prefix(node.num)} {_prefix(node.den)})"
+    if isinstance(node, CPow):
+        return f"(* {node.exponent} {_prefix(node.base)})"
+    raise TypeError(f"unknown certificate node {node!r}")
+
+
+def _factors(node: CMul) -> list:
+    """The arguments of a product that are not constants (0 in max-plus)."""
+    return [a for a in node.args if not isinstance(a, CConst)]
 
 
 def tropicalize(f: RatFun, vars: tuple | None = None) -> TropExpr:
@@ -242,24 +188,7 @@ def tropicalize(f: RatFun, vars: tuple | None = None) -> TropExpr:
         missing = names - set(vars)
         if missing:
             raise ValueError(f"variable order misses {sorted(missing)}")
-    index = {name: i for i, name in enumerate(vars)}
-    return TropExpr(vars, _build(f.cert, index))
-
-
-def _build(cert, index: Mapping):
-    if isinstance(cert, CVar):
-        return TVar(index[cert.name])
-    if isinstance(cert, CConst):
-        return TConst()
-    if isinstance(cert, CAdd):
-        return tmax([_build(a, index) for a in cert.args])
-    if isinstance(cert, CMul):
-        return tsum([_build(a, index) for a in cert.args])
-    if isinstance(cert, CDiv):
-        return tdiff(_build(cert.num, index), _build(cert.den, index))
-    if isinstance(cert, CPow):
-        return _scaled(_build(cert.base, index), cert.exponent)
-    raise TypeError(f"unknown certificate node {cert!r}")
+    return TropExpr(vars, f.cert)
 
 
 def degree_oracle(f: RatFun, point) -> int:

@@ -61,6 +61,20 @@ class TestFieldOps:
     def test_negative_power_inverts(self):
         assert (x / y) ** -2 == y**2 / x**2
 
+    @pytest.mark.parametrize(
+        "k, message",
+        [
+            (True, "not an integer: True"),
+            (2.0, "'float' object cannot be interpreted as an integer"),
+            (Fraction(2), "'Fraction' object cannot be interpreted as an integer"),
+        ],
+    )
+    def test_exponent_must_be_an_integer(self, k, message):
+        """A bool or an inexact exponent is refused, not read as 1 or 2."""
+        with pytest.raises(TypeError) as caught:
+            x**k
+        assert str(caught.value) == message
+
 
 class TestEquality:
     def test_unreduced_fractions_equal(self):

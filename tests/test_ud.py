@@ -1,6 +1,8 @@
 import itertools
+import operator
 import random
 from collections.abc import Mapping
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -19,20 +21,13 @@ from geomcrystal.charts import (
 )
 from geomcrystal.gyt import SharpElement
 from geomcrystal.gyt import sharp_pairs as sharp_index_pairs
-from geomcrystal.ratfun import const, parse, var
+from geomcrystal.ratfun import CAdd, CConst, CDiv, CMul, CPow, CVar, const, parse, var
 from geomcrystal.ud import (
     NotPositive,
-    TConst,
-    TDiff,
-    TMax,
     TropExpr,
-    TSum,
-    TVar,
-    _scaled,
     chart_to_sharp,
     degree_oracle,
     degree_oracle_many,
-    tmax,
     tropicalize,
 )
 
@@ -65,6 +60,17 @@ class TestTropicalize:
         e = tropicalize(x**-2)
         assert e.eval({"x": 3}) == -6
 
+    def test_power_forms(self):
+        """A power prints as a multiple, a product drops its constants, and a
+        product of constants alone prints as 0."""
+        assert str(tropicalize(x**3 / y**2)) == "(- (* 3 x) (* 2 y))"
+        assert str(tropicalize(x**-2)) == "(* -2 x)"
+        e = tropicalize(const(2) * const(3))
+        assert e.cert == CMul((CConst(Fraction(2)), CConst(Fraction(3))))
+        assert str(e) == "0"
+        assert e.eval(()) == 0
+        assert str(tropicalize(x / const(5) * (const(2) * y**2))) == "(+ x (* 2 y))"
+
     def test_explicit_variable_order(self):
         e = tropicalize(x + y, vars=("x", "y", "z"))
         assert e.eval((7, 1, 99)) == 7
@@ -73,13 +79,6 @@ class TestTropicalize:
 
 
 class TestNodes:
-    def test_empty_max_is_an_error(self):
-        with pytest.raises(ValueError):
-            tmax([])
-
-    def test_singleton_max_collapses(self):
-        assert tmax([TVar(0)]) == TVar(0)
-
     def test_dimension_mismatch(self):
         e = tropicalize(x + y)
         with pytest.raises(ValueError):
@@ -296,26 +295,29 @@ class TestColumnarOracle:
 
 
 def _reference_eval(node, values):
-    if isinstance(node, TVar):
-        return values[node.index]
-    if isinstance(node, TConst):
+    """The max-plus value of a certificate at {name: int}, node by node."""
+    if isinstance(node, CVar):
+        return values[node.name]
+    if isinstance(node, CConst):
         return 0
-    if isinstance(node, TSum):
+    if isinstance(node, CMul):
         return sum(_reference_eval(a, values) for a in node.args)
-    if isinstance(node, TDiff):
-        return _reference_eval(node.pos, values) - _reference_eval(node.neg, values)
+    if isinstance(node, CDiv):
+        return _reference_eval(node.num, values) - _reference_eval(node.den, values)
+    if isinstance(node, CPow):
+        return node.exponent * _reference_eval(node.base, values)
     return max(_reference_eval(a, values) for a in node.args)
 
 
-_WIDTH = 3
+_NAMES = ("a", "b", "c")
 _trees = st.recursive(
-    st.one_of(st.integers(0, _WIDTH - 1).map(TVar), st.just(TConst())),
+    st.one_of(st.sampled_from(_NAMES).map(CVar), st.just(CConst(Fraction(3, 2)))),
     lambda kids: st.one_of(
-        st.lists(kids, min_size=2, max_size=4).map(lambda a: TSum(tuple(a))),
-        st.lists(kids, min_size=2, max_size=4).map(lambda a: TMax(tuple(a))),
-        st.tuples(kids, kids).map(lambda a: TDiff(*a)),
-        st.tuples(kids, st.integers(-3, 3)).map(lambda a: _scaled(*a)),
-        kids.map(lambda a: TMax((TDiff(a, TConst()), TSum((a, a))))),  # one subtree object, reused
+        st.lists(kids, min_size=2, max_size=4).map(lambda a: CMul(tuple(a))),
+        st.lists(kids, min_size=2, max_size=4).map(lambda a: CAdd(tuple(a))),
+        st.tuples(kids, kids).map(lambda a: CDiv(*a)),
+        st.tuples(kids, st.integers(-3, 3)).map(lambda a: CPow(*a)),
+        kids.map(lambda a: CAdd((CDiv(a, CConst(2)), CMul((a, a))))),  # one subtree object, reused
     ),
     max_leaves=12,
 )
@@ -325,18 +327,18 @@ class TestBatchEval:
     """TropExpr.eval_many against a per-point recursive evaluator."""
 
     @settings(max_examples=200, deadline=None)
-    @given(_trees, st.lists(st.tuples(*[st.integers(-50, 50)] * _WIDTH), max_size=6))
-    def test_matches_reference(self, root, pts):
-        e = TropExpr(("a", "b", "c"), root)
-        expected = [_reference_eval(root, pt) for pt in pts]
+    @given(_trees, st.lists(st.tuples(*[st.integers(-50, 50)] * len(_NAMES)), max_size=6))
+    def test_matches_reference(self, cert, pts):
+        e = TropExpr(_NAMES, cert)
+        expected = [_reference_eval(cert, dict(zip(_NAMES, pt))) for pt in pts]
         assert e.eval_many(pts) == expected
         assert e.eval_many([dict(zip(e.vars, pt)) for pt in pts]) == expected
         assert [e.eval(pt) for pt in pts] == expected
 
     def test_empty_batch(self):
         assert tropicalize(x + y).eval_many([]) == []
-        assert TropExpr((), TConst()).eval_many([]) == []
-        assert TropExpr((), TConst()).eval_many([(), ()]) == [0, 0]
+        assert TropExpr((), CConst(1)).eval_many([]) == []
+        assert TropExpr((), CConst(1)).eval_many([(), ()]) == [0, 0]
 
     @pytest.mark.parametrize(
         "bad, error",
@@ -383,8 +385,37 @@ def _chart_formula_inventory(n):
     return out
 
 
+_certified = st.recursive(
+    st.one_of(
+        st.sampled_from([x, y, z3]),
+        st.tuples(st.integers(1, 5), st.integers(1, 5)).map(lambda p: const(Fraction(*p))),
+    ),
+    lambda kids: st.one_of(
+        st.tuples(st.sampled_from([operator.add, operator.mul, operator.truediv]), kids, kids).map(
+            lambda t: t[0](t[1], t[2])
+        ),
+        st.tuples(kids, st.integers(-3, 3)).map(lambda t: t[0] ** t[1]),
+    ),
+    max_leaves=6,
+)
+
+
 class TestSoundness:
     """trop_eval == degree_oracle on grids and random points."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_certified, st.lists(st.tuples(*[st.integers(-6, 6)] * 3), min_size=1, max_size=8))
+    def test_random_certified_expressions(self, f, pts):
+        """Sums, products, quotients, positive rational constants and powers
+        in -3..3 read in max-plus agree with the degree oracle; a point is
+        skipped only where the oracle raises."""
+        vars = ("x", "y", "z")
+        assert f.positive_cert
+        got = tropicalize(f, vars).eval_many(pts)
+        for pt, value in zip(pts, got):
+            want = _oracle_outcome(lambda: degree_oracle_many(f, vars, [pt])[0])
+            if not isinstance(want, type):
+                assert value == want, (f.cert, pt)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_chart_formulas(self, n):
@@ -573,11 +604,11 @@ def _udmain_formulas(n):
 
 
 def _raised(j):
-    return lambda root: TMax((root, TVar(j)))
+    return lambda e: CAdd((e.cert, CVar(e.vars[j])))
 
 
 def _shifted(j):
-    return lambda root: TSum((root, TVar(j)))
+    return lambda e: CMul((e.cert, CVar(e.vars[j])))
 
 
 def _assert_sound_on_grid(radius):
@@ -652,7 +683,7 @@ class TestUdMainLattice:
             e = real(f, vars)
             name = names[(str(f), tuple(vars))]
             if name in faults:
-                e.root = faults[name](e.root)
+                e.cert = faults[name](e)
             exprs[name] = e
             return e
 
