@@ -425,6 +425,7 @@ class Poly:
         return Poly._trusted(vars, out)
 
     def __pow__(self, k: int) -> "Poly":
+        k = as_int(k)
         if k < 0:
             raise ValueError("negative power of a polynomial")
         out = Poly.const(1, self.vars)

@@ -18,11 +18,12 @@ the two agree symbolically.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .ratfun import RatFun, as_ratfun, check_direction, var
+from .ratfun import RatFun, as_rank, as_ratfun, check_direction, var
 
 
 class DecompositionOutsideDomain(ArithmeticError):
@@ -50,12 +51,14 @@ def cartan_entry(i: int, j: int) -> int:
 
 
 class MatRF:
-    """Square matrix with :class:`RatFun` entries, 0-indexed storage."""
+    """Square matrix with :class:`RatFun` entries, 0-indexed storage.
+    The rows are tuples and never change, so the minors of a matrix are
+    expanded once, into one memo shared by all its callers."""
 
-    __slots__ = ("size", "rows")
+    __slots__ = ("size", "rows", "_minor")
 
     def __init__(self, rows: Sequence[Sequence]):
-        rows = [[as_ratfun(e) for e in row] for row in rows]
+        rows = tuple(tuple(as_ratfun(e) for e in row) for row in rows)
         size = len(rows)
         if not size:
             raise ValueError("matrix must have at least one row")
@@ -63,11 +66,18 @@ class MatRF:
             raise ValueError("matrix must be square")
         self.size = size
         self.rows = rows
+        self._minor = None
 
     @classmethod
     def identity(cls, size: int) -> "MatRF":
-        one, zero = RatFun.const(1), RatFun.const(0)
-        return cls([[one if i == j else zero for j in range(size)] for i in range(size)])
+        return cls(_identity_rows(size))
+
+    def minor(self, live: tuple) -> RatFun:
+        """The minor on rows ``live`` (ascending) and the first len(live)
+        columns, from this matrix's one :func:`_minors` memo."""
+        if self._minor is None:
+            self._minor = _minors(self.rows)
+        return self._minor(live)
 
     @property
     def rank(self) -> int:
@@ -109,7 +119,7 @@ class MatRF:
         return None
 
     def det(self) -> RatFun:
-        return _det(self.rows)
+        return self.minor(tuple(range(self.size)))
 
     def to_json(self) -> dict:
         return {"n": self.rank, "entries": [[str(e) for e in row] for row in self.rows]}
@@ -121,7 +131,13 @@ class MatRF:
         return f"MatRF(size={self.size})"
 
 
-def _minors(rows: list):
+def _identity_rows(size: int) -> list:
+    """The rows of the identity matrix, as lists to fill in."""
+    one, zero = RatFun.const(1), RatFun.const(0)
+    return [[one if i == j else zero for j in range(size)] for i in range(size)]
+
+
+def _minors(rows: Sequence):
     """``minor(live)``: the minor on rows ``live`` (ascending) and the
     first len(live) columns, by cofactor expansion along its last column,
     skipping structural zeros.  Expanding drops one row and the last
@@ -155,11 +171,6 @@ def _minors(rows: list):
         return out
 
     return minor
-
-
-def _det(rows: list) -> RatFun:
-    """Determinant of a square matrix: the full minor of :func:`_minors`."""
-    return _minors(rows)(tuple(range(len(rows))))
 
 
 class TorusElem:
@@ -223,17 +234,17 @@ class TorusElem:
 def x_elem(i: int, t, n: int) -> MatRF:
     """I + t*E_{i,i+1}: the upper elementary one-parameter element."""
     check_direction(i, n)
-    mat = MatRF.identity(n + 1)
-    mat.rows[i - 1][i] = as_ratfun(t)
-    return mat
+    rows = _identity_rows(n + 1)
+    rows[i - 1][i] = t
+    return MatRF(rows)
 
 
 def y_elem(i: int, t, n: int) -> MatRF:
     """I + t*E_{i+1,i}: the lower elementary one-parameter element."""
     check_direction(i, n)
-    mat = MatRF.identity(n + 1)
-    mat.rows[i][i - 1] = as_ratfun(t)
-    return mat
+    rows = _identity_rows(n + 1)
+    rows[i][i - 1] = t
+    return MatRF(rows)
 
 
 def coroot(i: int, c, n: int) -> TorusElem:
@@ -270,7 +281,13 @@ def symbolic_lower_coords(n: int, prefix: str = "a") -> dict:
 
 
 def generic_unipotent(n: int) -> MatRF:
-    """The factored unipotent element on fresh symbolic coordinates."""
+    """The factored unipotent element on fresh symbolic coordinates,
+    built once per rank; callers share it and its minor memo."""
+    return _generic_unipotent(as_rank(n))
+
+
+@functools.cache
+def _generic_unipotent(n: int) -> MatRF:
     return factored_unipotent(n, symbolic_lower_coords(n))
 
 
@@ -299,8 +316,8 @@ def gauss_decompose(g: MatRF) -> GaussFactors:
     """
     m = g.size
     work = [list(row) for row in g.rows]
-    lower = MatRF.identity(m)
-    upper = MatRF.identity(m)
+    lower = _identity_rows(m)
+    upper = _identity_rows(m)
     diag = []
     for k in range(m):
         pivot = work[k][k]
@@ -310,17 +327,17 @@ def gauss_decompose(g: MatRF) -> GaussFactors:
             )
         diag.append(pivot)
         for i in range(k + 1, m):
-            lower.rows[i][k] = work[i][k] / pivot
+            lower[i][k] = work[i][k] / pivot
         for j in range(k + 1, m):
-            upper.rows[k][j] = work[k][j] / pivot
+            upper[k][j] = work[k][j] / pivot
         for i in range(k + 1, m):
-            factor = lower.rows[i][k]
+            factor = lower[i][k]
             if factor.is_zero:
                 continue
             for j in range(k + 1, m):
                 if not work[k][j].is_zero:
                     work[i][j] = work[i][j] - factor * work[k][j]
-    return GaussFactors(lower, TorusElem(diag), upper)
+    return GaussFactors(MatRF(lower), TorusElem(diag), MatRF(upper))
 
 
 # ---------------------------------------------------------------------------
@@ -335,21 +352,20 @@ def phi(i: int, u: MatRF) -> RatFun:
 
 def corner_minor(i: int, u: MatRF) -> RatFun:
     """Determinant of the lower-left i x i block (last i rows, first i
-    columns), expanded along its last column by :func:`_minors`."""
+    columns), from the matrix's minor memo (:meth:`MatRF.minor`)."""
     check_direction(i, u.rank)
-    return _minors(u.rows)(tuple(range(u.size - i, u.size)))
+    return u.minor(tuple(range(u.size - i, u.size)))
 
 
 def torus_weight(u: MatRF) -> TorusElem:
     """Product over i of coroot(i, 1/corner_minor(i, u)); the torus part
     of the Borel embedding and the weight map of the induced crystal.
     Corner minor i-1 is a sub-minor of corner minor i, so all n come
-    from one :func:`_minors` memo."""
+    from the matrix's one minor memo."""
     n, m = u.rank, u.size
-    minor = _minors(u.rows)
     out = TorusElem.identity(m)
     for i in range(1, n + 1):
-        m_i = minor(tuple(range(m - i, m)))
+        m_i = u.minor(tuple(range(m - i, m)))
         if m_i.is_zero:
             raise TorusUndefined(f"corner minor {i} is identically zero")
         out = out * coroot(i, m_i**-1, n)

@@ -183,6 +183,15 @@ def test_printed_forms_unchanged(name):
     assert digest(name) == DIGESTS[name], f"printed forms of section {name!r} differ"
 
 
+def test_matrices_unchanged_after_the_symbolic_suites():
+    # the suites share each rank's generic element and its minor memo;
+    # running them first must leave every printed entry and minor as pinned
+    from geomcrystal import verify
+
+    assert all(r.holds for r in verify.axiom_reports(3) + verify.umorphism_reports(3))
+    assert digest("matrices") == DIGESTS["matrices"]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_last_factor_coefficient_prints_the_parameter(n):
     # mix(i)/mix(0) is alpha times a column sum over the same sum: the

@@ -75,6 +75,17 @@ class TestFieldOps:
             x**k
         assert str(caught.value) == message
 
+    @pytest.mark.parametrize(
+        "k, message",
+        [(True, "not an integer: True"), (2.0, "'float' object cannot be interpreted as an integer")],
+    )
+    def test_polynomial_exponent_must_be_an_integer(self, k, message):
+        """``Poly.__pow__`` refuses the same exponents, called directly."""
+        with pytest.raises(TypeError) as caught:
+            x.num**k
+        assert str(caught.value) == message
+        assert x.num**2 == (x * x).num
+
 
 class TestEquality:
     def test_unreduced_fractions_equal(self):

@@ -30,7 +30,6 @@ from geomcrystal.slgroup import (
     x_elem,
     y_elem,
 )
-from geomcrystal.slgroup import _det, _minors
 
 a, s, t, c = var("a"), var("s"), var("t"), var("c")
 
@@ -94,6 +93,24 @@ class TestGenerators:
         assert (str(MatRF.identity(3)), str(RatFun.const(1)), str(RatFun.const(0))) == before
         assert before[0] == '[["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]'
 
+    def test_entries_cannot_be_assigned(self):
+        # a matrix never changes, so its minor memo stays valid
+        m = x_elem(1, t, 2)
+        with pytest.raises(TypeError):
+            m.rows[0][1] = s
+        with pytest.raises(TypeError):
+            m.rows[0] = m.rows[1]
+        assert m == x_elem(1, t, 2)
+
+    def test_generic_element_built_once_per_rank(self):
+        assert generic_unipotent(3) is generic_unipotent(3)
+        assert generic_unipotent(2) is not generic_unipotent(3)
+        for bad in (True, 2.0):
+            with pytest.raises(TypeError):
+                generic_unipotent(bad)
+        with pytest.raises(ValueError):
+            generic_unipotent(0)
+
     def test_determinants_one(self):
         n = 3
         g = x_elem(1, s, n) * y_elem(2, t, n) * coroot(3, c, n).as_matrix()
@@ -153,7 +170,7 @@ def _cofactor_det(rows):
 
 def _last_column_det(rows):
     """Plain cofactor expansion along the last column, with no memo: the
-    summation order of ``_det``, so the same unreduced num/den."""
+    summation order of ``MatRF.det``, so the same unreduced num/den."""
     m = len(rows)
     if m == 1:
         return rows[0][0]
@@ -197,7 +214,7 @@ class TestDeterminant:
     @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(_square)
     def test_matches_plain_cofactor_expansion(self, rows):
-        got = _det(rows)
+        got = MatRF(rows).det()
         assert got == _cofactor_det(rows)  # an independent order, equal in value
         assert str(got) == str(_last_column_det(rows))  # the memo changes no form
 
@@ -205,13 +222,13 @@ class TestDeterminant:
     @given(_square)
     def test_shared_memo_matches_each_minor_alone(self, rows):
         m = len(rows)
-        minor = _minors(rows)
-        minor(tuple(range(m)))  # fill the memo from the full determinant first
+        u = MatRF(rows)
+        u.det()  # fill the memo from the full determinant first
         for size in range(1, m + 1):
             for live in itertools.combinations(range(m), size):
-                alone = _det([rows[r][:size] for r in live])
-                assert minor(live) == alone
-                assert str(minor(live)) == str(alone)
+                alone = MatRF([rows[r][:size] for r in live]).det()
+                assert u.minor(live) == alone
+                assert str(u.minor(live)) == str(alone)
 
     @staticmethod
     def _count_products(monkeypatch) -> list:
@@ -228,9 +245,9 @@ class TestDeterminant:
 
     def test_expands_each_minor_once(self, monkeypatch):
         m = 7
-        rows = MatRF([[var(f"x[{i},{j}]") for j in range(m)] for i in range(m)]).rows
+        u = MatRF([[var(f"x[{i},{j}]") for j in range(m)] for i in range(m)])
         products = self._count_products(monkeypatch)
-        det = _det(rows)
+        det = u.det()
         assert len(products) <= m * 2 ** (m - 1)
         assert len(det.num.terms) == 5040  # one term per permutation
         assert det.den.terms == {0: 1}
@@ -246,6 +263,18 @@ class TestDeterminant:
         assert len(products) <= m * 2 ** (m - 1) + m * (m + 1)  # plus the coroot products
         assert len(weight.diag[0].den.terms) == 1  # 1 / corner minor 1, one entry
         assert len(weight.diag[m].num.terms) == 5040  # corner minor m, a full determinant
+
+    def test_public_minors_and_det_share_one_expansion(self, monkeypatch):
+        # every corner minor, then the determinant, of one matrix: all are
+        # minors on the first columns, so they cost what the determinant does
+        m = 8
+        u = MatRF([[var(f"x[{i},{j}]") for j in range(m)] for i in range(m)])
+        products = self._count_products(monkeypatch)
+        minors = [corner_minor(i, u) for i in range(1, m)]
+        det = u.det()
+        assert len(products) <= m * 2 ** (m - 1)
+        assert [len(f.num.terms) for f in minors] == [1, 2, 6, 24, 120, 720, 5040]
+        assert len(det.num.terms) == 40320
 
     def test_empty_matrix_rejected(self):
         with pytest.raises(ValueError):

@@ -70,6 +70,13 @@ def _witnesses(reports) -> dict:
     return {r.check: r.counterexample for r in reports}
 
 
+def _bumped(mat):
+    """A new matrix: ``mat`` with 1 added to its entry (2,1)."""
+    rows = [list(row) for row in mat.rows]
+    rows[1][0] = rows[1][0] + 1
+    return slgroup.MatRF(rows)
+
+
 def test_matrix_witness_is_one_based(monkeypatch):
     """A check that fails names where: a matrix entry, a torus diagonal
     slot or a chart coordinate, each 1-based.  One fault is injected per
@@ -77,9 +84,7 @@ def test_matrix_witness_is_one_based(monkeypatch):
     gauss = slgroup.crystal_act_gauss
 
     def perturbed(i, c, u):
-        out = gauss(i, c, u)
-        out.rows[1][0] = out.rows[1][0] + 1  # entry (2,1)
-        return out
+        return _bumped(gauss(i, c, u))  # entry (2,1)
 
     monkeypatch.setattr(slgroup, "crystal_act_gauss", perturbed)
     reports = verify.prop43_reports(2)
@@ -91,7 +96,7 @@ def test_matrix_witness_is_one_based(monkeypatch):
     def perturbed_rhs(i, j, act, x):
         lhs, rhs = relation(i, j, act, x)
         if isinstance(rhs, slgroup.MatRF):
-            rhs.rows[1][0] = rhs.rows[1][0] + 1
+            rhs = _bumped(rhs)
         else:
             rhs.coords[(1, 2)] = rhs.coords[(1, 2)] + 1
         return lhs, rhs
@@ -106,9 +111,7 @@ def test_matrix_witness_is_one_based(monkeypatch):
     act = slgroup.crystal_act
 
     def perturbed_act(i, c, u):
-        out = act(i, c, u)
-        out.rows[1][0] = out.rows[1][0] + 1  # phi_1, hence corner minor 1
-        return out
+        return _bumped(act(i, c, u))  # phi_1, hence corner minor 1
 
     with monkeypatch.context() as m:
         m.setattr(slgroup, "crystal_act", perturbed_act)
