@@ -55,7 +55,7 @@ class MatRF:
     The rows are tuples and never change, so the minors of a matrix are
     expanded once, into one memo shared by all its callers."""
 
-    __slots__ = ("size", "rows", "_minor")
+    __slots__ = ("size", "_rows", "_minor")
 
     def __init__(self, rows: Sequence[Sequence]):
         rows = tuple(tuple(as_ratfun(e) for e in row) for row in rows)
@@ -65,8 +65,14 @@ class MatRF:
         if any(len(row) != size for row in rows):
             raise ValueError("matrix must be square")
         self.size = size
-        self.rows = rows
+        self._rows = rows
         self._minor = None
+
+    @property
+    def rows(self) -> tuple:
+        """The rows, a tuple of tuples; read-only, since the minor memo
+        is built from them."""
+        return self._rows
 
     @classmethod
     def identity(cls, size: int) -> "MatRF":
@@ -76,7 +82,7 @@ class MatRF:
         """The minor on rows ``live`` (ascending) and the first len(live)
         columns, from this matrix's one :func:`_minors` memo."""
         if self._minor is None:
-            self._minor = _minors(self.rows)
+            self._minor = _minors(self._rows)
         return self._minor(live)
 
     @property
@@ -87,13 +93,14 @@ class MatRF:
         if self.size != other.size:
             raise ValueError("size mismatch")
         m = self.size
+        left, right = self._rows, other._rows
         out = []
         for i in range(m):
             row = []
             for j in range(m):
                 acc = None
                 for k in range(m):
-                    a, b = self.rows[i][k], other.rows[k][j]
+                    a, b = left[i][k], right[k][j]
                     if a.is_zero or b.is_zero:
                         continue
                     term = a * b
@@ -112,9 +119,10 @@ class MatRF:
     def first_difference(self, other: "MatRF"):
         """``{"entry": [i, j]}``, 1-based, for the first differing entry in
         row-major order, or None when the matrices agree."""
+        left, right = self._rows, other._rows
         for i in range(self.size):
             for j in range(self.size):
-                if not self.rows[i][j] == other.rows[i][j]:
+                if not left[i][j] == right[i][j]:
                     return {"entry": [i + 1, j + 1]}
         return None
 

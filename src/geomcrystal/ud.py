@@ -7,9 +7,15 @@ walks the value's construction-history certificate itself, the one tree
 kept for the formula, so its size stays linear in the formula.  The
 independent degree oracle proves pointwise correctness: it reads only the
 expanded num and den, never the certificate, and takes the top degree of
-their Laurent collapse under the monomial co-character.  Both evaluate a
-whole batch of points at once (:meth:`TropExpr.eval_many`,
-:func:`degree_oracle_many`).
+their Laurent collapse under the monomial co-character.  Both evaluate
+many formulas over one batch of points at once, in columns over the
+batch: :func:`eval_columns` walks all the certificates together and
+computes each distinct node (by identity) once, since formulas built from
+the same chart share their subexpressions; :func:`degree_columns`
+computes each distinct monomial of all the expanded nums and dens once.
+:meth:`TropExpr.eval_many` and :func:`degree_oracle_many` are their
+one-formula calls, and :meth:`TropExpr.eval` and :func:`degree_oracle`
+their one-point calls.
 
 The semiring is (Z, max, +) without minus infinity: a certified value
 is a nonzero subtraction-free expression, so every max has at least one
@@ -18,6 +24,8 @@ argument and every expression evaluates to an integer.
 
 from __future__ import annotations
 
+import collections
+import functools
 import itertools
 import operator
 from collections.abc import Mapping
@@ -58,18 +66,9 @@ class TropExpr:
 
     def eval_many(self, points) -> list:
         """Evaluate at each point of a batch (each as in :meth:`eval`);
-        returns a list of ints in point order.
-
-        The batch is coerced once, then the certificate is walked once for
-        the whole batch: every node becomes a column over all points,
-        streamed through ``map`` so no intermediate column is kept."""
-        points = list(points)
-        rows = _int_rows(points, self.vars)
-        if rows is None:
-            rows = [_coerce_point(point, self.vars) for point in points]
-        if not rows:
-            return []
-        return list(_column(self.cert, dict(zip(self.vars, zip(*rows))), len(rows)))
+        returns a list of ints in point order: :func:`eval_columns` of this
+        one expression."""
+        return eval_columns([self], self.vars, points)[0]
 
     def __str__(self) -> str:
         return _prefix(self.cert)
@@ -78,6 +77,7 @@ class TropExpr:
         return f"TropExpr({self})"
 
 
+_ADD = functools.partial(map, operator.add)
 _INT = frozenset((int,))
 _ROW = frozenset((tuple, list))
 
@@ -114,37 +114,100 @@ def _coerce_point(point, vars: tuple) -> list:
     return coerced
 
 
-def _column(node, columns: Mapping, count: int):
-    """Iterator over the max-plus value of the certificate ``node`` at each
-    point; ``columns[name]`` holds that variable over the batch of ``count``
-    points."""
-    if isinstance(node, CVar):
-        return iter(columns[node.name])
-    if isinstance(node, CMul):
-        parts = [_column(a, columns, count) for a in _factors(node)]
-        if not parts:
+def eval_columns(exprs, vars: tuple, points) -> list:
+    """Each expression of ``exprs`` at each point of one batch, each point
+    an integer vector aligned with ``vars`` or a mapping {name: int}; every
+    expression's variables must be among ``vars``.  Returns one list of
+    ints per expression, in point order.
+
+    The batch is coerced once, then all certificates are walked together,
+    once: each distinct node (by identity) becomes one column over all
+    points.  A column that more than one parent reads is kept as a list;
+    every other column is streamed through ``map`` and never stored."""
+    vars = tuple(vars)
+    exprs = list(exprs)
+    missing = {name for e in exprs for name in e.vars} - set(vars)
+    if missing:
+        raise ValueError(f"variable order misses {sorted(missing)}")
+    points = list(points)
+    rows = _int_rows(points, vars)
+    if rows is None:
+        rows = [_coerce_point(point, vars) for point in points]
+    if not rows:
+        return [[] for _ in exprs]
+    roots = [e.cert for e in exprs]
+    column = _column_walk(roots, dict(zip(vars, zip(*rows))), len(rows))
+    return [list(column(root)) for root in roots]
+
+
+def _column_walk(roots: list, columns: Mapping, count: int):
+    """``column(node)``: an iterator over the max-plus value of the
+    certificate ``node`` at each point; ``columns[name]`` holds that
+    variable over the batch of ``count`` points.  Each non-leaf node under
+    ``roots`` is computed once; one read by several parents (or roots) is
+    kept as a list."""
+    uses = {}  # id of a non-leaf node -> how many parents and roots read it
+    children = {}  # id of a non-leaf node -> _children(node)
+    stack = list(roots)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (CVar, CConst)):
+            continue
+        key = id(node)
+        if key in uses:
+            uses[key] += 1
+        else:
+            uses[key] = 1
+            children[key] = kids = _children(node)
+            stack.extend(kids)
+    kept = {}
+
+    def column(node):
+        if isinstance(node, CVar):
+            return iter(columns[node.name])
+        if isinstance(node, CConst):
             return itertools.repeat(0, count)
-        total = parts[0]
-        for part in parts[1:]:
-            total = map(operator.add, total, part)
-        return total
+        key = id(node)
+        out = kept.get(key)
+        if out is not None:
+            return iter(out)
+        parts = [column(a) for a in children[key]]
+        if isinstance(node, CMul):
+            out = functools.reduce(_ADD, parts) if parts else itertools.repeat(0, count)
+        elif isinstance(node, CAdd):
+            out = map(max, *parts)
+        elif isinstance(node, CDiv):
+            out = map(operator.sub, *parts) if len(parts) == 2 else parts[0]
+        elif isinstance(node, CPow):
+            out = map(operator.mul, parts[0], itertools.repeat(node.exponent))
+        else:
+            raise TypeError(f"unknown certificate node {node!r}")
+        if uses[key] > 1:
+            out = kept[key] = list(out)
+            return iter(out)
+        return out
+
+    return column
+
+
+def _children(node) -> tuple:
+    """The sub-certificates that the max-plus reading of ``node`` reads: a
+    product drops its constants, and a quotient by a constant is its
+    numerator."""
+    if isinstance(node, CMul):
+        return _factors(node)
     if isinstance(node, CAdd):
-        return map(max, *(_column(a, columns, count) for a in node.args))
+        return node.args
     if isinstance(node, CDiv):
-        num = _column(node.num, columns, count)
-        if isinstance(node.den, CConst):
-            return num
-        return map(operator.sub, num, _column(node.den, columns, count))
+        return (node.num,) if isinstance(node.den, CConst) else (node.num, node.den)
     if isinstance(node, CPow):
-        return map(operator.mul, _column(node.base, columns, count), itertools.repeat(node.exponent))
-    if isinstance(node, CConst):
-        return itertools.repeat(0, count)
-    raise TypeError(f"unknown certificate node {node!r}")
+        return (node.base,)
+    return ()
 
 
 def _prefix(node) -> str:
     """Prefix text of the max-plus reading of ``node``, by the rules of
-    :func:`_column`: a product drops its constants, and a quotient by a
+    :func:`_column_walk`: a product drops its constants, and a quotient by a
     constant is its numerator."""
     if isinstance(node, CVar):
         return node.name
@@ -166,9 +229,9 @@ def _prefix(node) -> str:
     raise TypeError(f"unknown certificate node {node!r}")
 
 
-def _factors(node: CMul) -> list:
+def _factors(node: CMul) -> tuple:
     """The arguments of a product that are not constants (0 in max-plus)."""
-    return [a for a in node.args if not isinstance(a, CConst)]
+    return tuple([a for a in node.args if not isinstance(a, CConst)])
 
 
 def tropicalize(f: RatFun, vars: tuple | None = None) -> TropExpr:
@@ -201,30 +264,51 @@ def degree_oracle(f: RatFun, point) -> int:
 def degree_oracle_many(f: RatFun, vars: tuple, points) -> list:
     """:func:`degree_oracle` at each point of a batch, each point an integer
     vector aligned with ``vars`` or a mapping {name: int}; variables of
-    ``f`` outside ``vars`` count as 0.
+    ``f`` outside ``vars`` count as 0: :func:`degree_columns` of this one
+    formula."""
+    return degree_columns([f], vars, points)[0]
 
-    The exponent vectors of the expanded num and den are decoded once, and
-    each term becomes a column of its weighted degree over the batch.  The
-    degree is the largest degree whose coefficients do not sum to zero (the
-    Laurent collapse) in num minus that in den.  This is
-    ``f.subst_monomial(point).degree()`` for any input, certified or not,
-    since normalization cancels no common factor.  A polynomial whose
-    coefficients are all positive cannot cancel, so its top degree is the
-    column max; otherwise each point is collapsed.  Raises
-    ``ZeroDivisionError`` where the denominator collapses to zero and
-    ``ValueError`` where the numerator does; the first faulty point in
-    batch order decides.
+
+def degree_columns(formulas, vars: tuple, points) -> list:
+    """:func:`degree_oracle` of each formula at each point of one batch,
+    each point as in :func:`degree_oracle_many`; one list of ints per
+    formula, in point order.
+
+    The exponent vectors of each expanded num and den are decoded once, and
+    each distinct monomial of all the formulas becomes one column of its
+    weighted degree over the batch.  The degree is the largest degree whose
+    coefficients do not sum to zero (the Laurent collapse) in num minus
+    that in den.  This is ``f.subst_monomial(point).degree()`` for any
+    input, certified or not, since normalization cancels no common factor.
+    A polynomial whose coefficients are all positive cannot cancel, so its
+    top degree is the column max; otherwise each point is collapsed.
+    Raises what the first formula in order that fails would raise alone:
+    at its first faulty point in batch order, a point that is no integer
+    vector raises its coercion error, else ``ZeroDivisionError`` where the
+    denominator collapses to zero, else ``ValueError`` where the numerator
+    does.
     """
     vars = tuple(vars)
-    num = (_weighted_terms(f.num, vars), f.num.all_positive())
-    den = (_weighted_terms(f.den, vars), f.den.all_positive())
+    parts = [
+        ((_weighted_terms(f.num, vars), f.num.all_positive()), (_weighted_terms(f.den, vars), f.den.all_positive()))
+        for f in formulas
+    ]
     points = list(points)
     rows = _int_rows(points, vars)
     if rows is None:
-        # point by point, so an earlier point's collapse raises before a
-        # later point's coercion error
-        return [_degrees(num, den, [_coerce_point(point, vars)])[0] for point in points]
-    return _degrees(num, den, rows)
+        rows, error = [], None
+        for point in points:
+            try:
+                rows.append(_coerce_point(point, vars))
+            except (TypeError, ValueError) as bad:
+                error = bad
+                break
+        if error is not None:
+            # every formula meets the bad point, so the first formula decides:
+            # its collapse at an earlier point, else the bad point's error
+            _degree_columns(parts[:1], rows)
+            raise error
+    return _degree_columns(parts, rows)
 
 
 def _weighted_terms(poly, vars: tuple) -> list:
@@ -236,15 +320,38 @@ def _weighted_terms(poly, vars: tuple) -> list:
     ]
 
 
-def _degrees(num: tuple, den: tuple, rows: list) -> list:
-    """The degree at each row of plain ints, with num and den each given as
-    (weighted terms, all coefficients positive); the first row where den or
-    num collapses raises, den first."""
+def _degree_columns(parts: list, rows: list) -> list:
+    """The degree column of each formula, given as (num, den), each (weighted
+    terms, all coefficients positive), over rows of plain ints.  Each
+    distinct monomial's column is computed once, and kept as a list when
+    more than one term reads it.  The first formula that collapses raises,
+    at its first faulty row, den first."""
     if not rows:
-        return []
+        return [[] for _ in parts]
+    count = len(rows)
     columns = list(zip(*rows))
-    low = _top_degrees(*den, columns, len(rows))
-    high = _top_degrees(*num, columns, len(rows))
+    uses = collections.Counter(exps for pair in parts for terms, _ in pair for exps, _ in terms)
+    kept = {}
+
+    def degree(exps):
+        if exps in kept:
+            return iter(kept[exps])
+        out = _degree_column(exps, columns, count)
+        if uses[exps] > 1:
+            out = kept[exps] = list(out)
+            return iter(out)
+        return out
+
+    return [_degrees(num, den, degree, count) for num, den in parts]
+
+
+def _degrees(num: tuple, den: tuple, degree, count: int) -> list:
+    """The degree at each of ``count`` points, with num and den each given
+    as (weighted terms, all coefficients positive) and ``degree(exps)`` the
+    column of one monomial; the first point where den or num collapses
+    raises, den first."""
+    low = _top_degrees(*den, degree, count)
+    high = _top_degrees(*num, degree, count)
     if None in low or None in high:
         for a, b in zip(low, high):
             if a is None:
@@ -254,13 +361,13 @@ def _degrees(num: tuple, den: tuple, rows: list) -> list:
     return list(map(operator.sub, high, low))
 
 
-def _top_degrees(terms: list, positive: bool, columns: list, count: int) -> list:
+def _top_degrees(terms: list, positive: bool, degree, count: int) -> list:
     """At each point, the largest weighted degree whose collapsed
     coefficient is nonzero, or None when every degree cancels; with
     ``positive`` (no negative coefficient) nothing cancels."""
     if not terms:
         return [None] * count
-    degrees = [_degree_column(exps, columns, count) for exps, _ in terms]
+    degrees = [degree(exps) for exps, _ in terms]
     if positive:
         return list(map(max, *degrees)) if len(degrees) > 1 else list(degrees[0])
     coeffs = [c for _, c in terms]

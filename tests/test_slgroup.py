@@ -102,6 +102,14 @@ class TestGenerators:
             m.rows[0] = m.rows[1]
         assert m == x_elem(1, t, 2)
 
+    def test_rows_cannot_be_rebound(self):
+        # rebinding the rows would leave the minor memo stale
+        m = y_elem(1, 5, 1)
+        assert m.det() == 1
+        with pytest.raises(AttributeError):
+            m.rows = MatRF([[2, 0], [0, 7]]).rows
+        assert m.det() == 1 and m == y_elem(1, 5, 1)
+
     def test_generic_element_built_once_per_rank(self):
         assert generic_unipotent(3) is generic_unipotent(3)
         assert generic_unipotent(2) is not generic_unipotent(3)

@@ -294,6 +294,77 @@ class TestColumnarOracle:
         ]
 
 
+_POOL = (
+    x + y,
+    (x - y) / z3,  # num collapses where x == y
+    z3 / (x - y),  # den collapses where x == y
+    (x - y) / (z3 - x * y),  # both where x == y and z == x + y
+    (const(2) * x * y - y**2 + x) / (x * y + const(1)),  # never collapses
+    y / (x - z3),  # den collapses where x == z
+)
+
+
+def _raised_by(fn):
+    try:
+        return fn()
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
+        return (type(exc), str(exc))
+
+
+class TestBatchedOracle:
+    """ud.degree_columns: one oracle batch over many formulas."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.integers(0, len(_POOL) - 1), min_size=1, max_size=5),
+        st.lists(
+            st.one_of(st.tuples(*[st.integers(-2, 2)] * 3), st.just((1, 2.5, 0)), st.just({"x": 1, "y": 1})),
+            max_size=6,
+        ),
+    )
+    def test_the_first_formula_that_raises_decides(self, picks, pts):
+        """The batch gives each formula's column, or raises what the first
+        formula in order raises alone."""
+        formulas = [_POOL[j] for j in picks]
+        vars = ("x", "y", "z")
+        alone = [_raised_by(lambda: degree_oracle_many(f, vars, pts)) for f in formulas]
+        errors = [out for out in alone if isinstance(out, tuple)]
+        assert _raised_by(lambda: ud.degree_columns(formulas, vars, pts)) == (errors[0] if errors else alone)
+
+    @pytest.mark.parametrize(
+        "picks, error",
+        [
+            ((0, 1, 2), ValueError),  # num (x - y) / z comes first
+            ((0, 2, 1), ZeroDivisionError),  # den z / (x - y) comes first
+            ((3,), ZeroDivisionError),  # both collapse at (1, 1, 2): den first
+            ((4, 3, 1), ZeroDivisionError),
+        ],
+    )
+    def test_error_order(self, picks, error):
+        pts = [(0, 1, 0), (1, 1, 2)]
+        with pytest.raises(error):
+            ud.degree_columns([_POOL[j] for j in picks], ("x", "y", "z"), pts)
+
+    def test_a_later_formula_faulty_earlier_does_not_decide(self):
+        # y / (x - z) collapses at the first point, (x - y) / z only at the
+        # second; the first formula in order decides
+        pts = [(1, 0, 1), (2, 2, 0)]
+        num_bad, den_bad = _POOL[1], _POOL[5]
+        with pytest.raises(ZeroDivisionError):
+            ud.degree_columns([den_bad, num_bad], ("x", "y", "z"), pts)
+        with pytest.raises(ValueError):
+            ud.degree_columns([num_bad, den_bad], ("x", "y", "z"), pts)
+        assert degree_oracle_many(num_bad, ("x", "y", "z"), pts[:1]) == [0]  # (x - y) / z at (1, 0, 1)
+
+    def test_one_column_per_formula(self):
+        pts = [(1, 2, 3), (-1, 0, 2)]
+        assert ud.degree_columns([], ("x", "y", "z"), pts) == []
+        assert ud.degree_columns(_POOL[:1] * 2, ("x", "y", "z"), []) == [[], []]
+        assert ud.degree_columns([_POOL[0], _POOL[4], _POOL[0]], ("x", "y", "z"), pts) == [
+            degree_oracle_many(f, ("x", "y", "z"), pts) for f in (_POOL[0], _POOL[4], _POOL[0])
+        ]
+
+
 def _reference_eval(node, values):
     """The max-plus value of a certificate at {name: int}, node by node."""
     if isinstance(node, CVar):
@@ -365,6 +436,66 @@ class TestBatchEval:
                 f"point has {len(bad)} coordinates, expression has 2",
                 f"point misses coordinates {[v for v in e.vars if v not in bad]}",
             )
+
+
+class _CountedExponent(int):
+    """A power's exponent that counts the products it takes part in."""
+
+    def __rmul__(self, other):
+        self.products = getattr(self, "products", 0) + 1
+        return other * int(self)
+
+
+_shared_roots = st.lists(_trees, min_size=1, max_size=4).flatmap(
+    # roots built over the drawn trees, so subtree objects are shared between roots
+    lambda trees: st.lists(
+        st.one_of(
+            st.sampled_from(trees),
+            st.tuples(st.sampled_from(trees), st.sampled_from(trees)).map(lambda a: CAdd(a)),
+            st.tuples(st.sampled_from(trees), st.sampled_from(trees)).map(lambda a: CDiv(*a)),
+            st.sampled_from(trees).map(lambda a: CMul((a, CPow(a, 2), CConst(5)))),
+        ),
+        min_size=1,
+        max_size=6,
+    )
+)
+
+
+class TestBatchColumns:
+    """ud.eval_columns, the walk of many certificates at once."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_shared_roots, st.lists(st.tuples(*[st.integers(-50, 50)] * len(_NAMES)), max_size=6))
+    def test_matches_reference(self, roots, pts):
+        exprs = [TropExpr(_NAMES, root) for root in roots]
+        expected = [[_reference_eval(root, dict(zip(_NAMES, pt))) for pt in pts] for root in roots]
+        assert ud.eval_columns(exprs, _NAMES, pts) == expected
+        assert [e.eval_many(pts) for e in exprs] == expected
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_shared_node_is_walked_once(self, k):
+        """A non-leaf node read by k roots, twice within each, is computed
+        once per batch: its power takes one product per point."""
+        exponent = _CountedExponent(2)
+        shared = CPow(CAdd((CVar("a"), CVar("b"))), exponent)
+        roots = [CMul((shared, CVar(_NAMES[r % 3]), CAdd((shared, CConst(1))))) for r in range(k)]
+        pts = [(1, 2, 3), (-4, 0, 5), (7, -7, 0)]
+        got = ud.eval_columns([TropExpr(_NAMES, root) for root in roots], _NAMES, pts)
+        assert exponent.products == len(pts)
+        assert got == [[_reference_eval(root, dict(zip(_NAMES, pt))) for pt in pts] for root in roots]
+
+    def test_expressions_over_part_of_the_order(self):
+        """An expression over fewer variables reads them by name from the
+        batch's wider points; a variable outside the order is an error."""
+        wide, narrow = tropicalize(x * z3 + y), tropicalize(y / x, ("x", "y"))
+        pts = [(1, 2, 3), (-1, 5, 0)]
+        assert ud.eval_columns([narrow, wide], ("x", "y", "z"), pts) == [
+            narrow.eval_many([pt[:2] for pt in pts]),
+            wide.eval_many(pts),
+        ]
+        with pytest.raises(ValueError, match="misses"):
+            ud.eval_columns([wide], ("x", "y"), [(1, 2)])
+        assert ud.eval_columns([wide, narrow], ("x", "y", "z"), []) == [[], []]
 
 
 def _chart_formula_inventory(n):
@@ -613,11 +744,14 @@ def _shifted(j):
 
 def _assert_sound_on_grid(radius):
     """trop equals the degree oracle for every ud-main formula at n=3 on
-    every point of [-radius, radius]^7."""
+    every point of [-radius, radius]^7, each side one batch over the grid."""
     grid = list(itertools.product(range(-radius, radius + 1), repeat=7))
-    for name, f, vars in _udmain_formulas(3):
-        pts = [pt[: len(vars)] for pt in grid]
-        assert tropicalize(f, vars).eval_many(pts) == degree_oracle_many(f, vars, pts), name
+    formulas = _udmain_formulas(3)
+    order = formulas[0][2]
+    trop = ud.eval_columns([tropicalize(f, vars) for _, f, vars in formulas], order, grid)
+    oracle = ud.degree_columns([f for _, f, _ in formulas], order, grid)
+    for (name, _, _), got, want in zip(formulas, trop, oracle, strict=True):
+        assert got == want, name
 
 
 def _crystal_side_witnesses(n, points, exprs) -> list:
@@ -652,6 +786,21 @@ class TestUdMainLattice:
             pts = [pt[: len(vars)] for pt in points]
             expected = [f.subst_monomial(dict(zip(vars, pt))).degree() for pt in pts]
             assert degree_oracle_many(f, vars, pts) == expected, name
+
+    def test_batched_oracle_matches_subst_monomial(self):
+        """One oracle batch over every n=3 formula at the wider points,
+        with a formula of negative coefficients whose collapse reads the
+        columns of monomials it shares with the others."""
+        formulas = _udmain_formulas(3)
+        order = formulas[0][2]
+        a, b = (var(name) for name in order[:2])
+        formulas += [("mixed", (const(2) * a * b - b**2 + a) / (a * b + const(1)), order[:2])]
+        assert not formulas[-1][1].num.all_positive()
+        points = verify._lattice_points(3, verify.DEFAULT_SEED)[:300]
+        got = ud.degree_columns([f for _, f, _ in formulas], order, points)
+        for (name, f, vars), column in zip(formulas, got, strict=True):
+            expected = [f.subst_monomial(dict(zip(vars, pt))).degree() for pt in points]
+            assert column == expected, name
 
     def test_exhaustive_unit_grid(self):
         """Soundness on all 3^7 points of [-1,1]^7 at n=3: every sign pattern."""
