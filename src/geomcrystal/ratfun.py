@@ -23,9 +23,14 @@ operands the result is reduced without taking the gcd of the large
 expanded result.  :meth:`RatFun.reduced` is the one explicit step, for a
 value built some other way.  The gcd is the heuristic GCDHEU, verified by
 exact division; when it finds none, or declines to try, the value is left
-as it is, which is always sound: equality is extensional.  Without the
-cancellation, iterated crystal actions and matrix products swell to
-operands of thousands of terms.
+as it is, which is always sound: equality is extensional.  Before GCDHEU,
+an operand certified irreducible (primitive, of degree one in a variable
+x, and t1*x + t0 with t1 or t0 a single term none of whose variables is
+in every term, as a linear form is) settles the gcd by one exact
+division: it is that operand when it divides the other one, else 1,
+which is what GCDHEU would find.  Without the cancellation, iterated
+crystal actions and matrix products swell to operands of thousands of
+terms.
 
 Values built exclusively from variables, positive rational constants,
 ``+``, ``*`` and ``/`` carry a subtraction-free certificate: the
@@ -698,6 +703,44 @@ def _heuristic_gcd(a: dict, b: dict, m: int):
     return None
 
 
+def _irreducible(t: dict, m: int) -> bool:
+    """True when t, over packed keys of m variables with every exponent
+    below 2**15, is certified irreducible: t is primitive, and for some
+    variable x it reads t1*x + t0 with t1, t0 nonzero and free of x, where
+    t1 or t0 is a single term none of whose variables is in every term of
+    t.  False says nothing.
+
+    In a factorization of t one factor is free of x, since t has degree
+    one in x, and it divides both t1 and t0.  A common divisor of a term
+    and a polynomial that no variable of the term divides is an integer,
+    and it divides the content of t, which is 1.
+
+    One scan reads each term's variables as the guard bits of their
+    fields (a field of 1 or more keeps its guard after subtracting 1);
+    then x is a variable with no exponent above 1 that is in exactly one
+    term (that term is t1*x) or in all terms but one (the other term is
+    t0)."""
+    if len(t) < 2 or math.gcd(*t.values()) != 1:
+        return False
+    guard = ((1 << _WIDTH * m) - 1) // _MASK * _HALF
+    ones = guard >> _WIDTH - 1
+    high = in_one = in_two = out_one = out_two = 0
+    common = guard
+    used = []
+    for k in t:
+        u = ((k | guard) - ones) & guard
+        high |= ((k | guard) - 2 * ones) & guard  # an exponent of 2 or more
+        in_two |= in_one & u
+        in_one |= u
+        out_two |= out_one & ~u
+        out_one |= guard & ~u
+        common &= u
+        used.append(u)
+    lone = in_one & ~in_two & ~high
+    all_but_one = out_one & ~out_two & ~high
+    return any((u & lone or ~u & all_but_one) and not u & common for u in used)
+
+
 def _cofactors(a: dict, b: dict, g: dict, m: int):
     """(g, a/g, b/g) with a positive grlex-leading coefficient of g, when
     g divides both exactly, else None."""
@@ -1031,7 +1074,13 @@ def _gcd(a: Poly, b: Poly, positive: bool):
     reaches 2**15, an operand is too large to try (more than
     ``_GCD_MAX_TERMS`` terms, or a degree box above ``_GCD_MAX_BOX``), or
     ``positive`` asks for cofactors without a negative coefficient and one
-    has one (as (x^3+1)/(x+1) does)."""
+    has one (as (x^3+1)/(x+1) does).
+
+    Past those guards, an operand t that :func:`_irreducible` certifies
+    skips GCDHEU: the only divisors of t are 1, -1, t and -t, so the gcd
+    is t when t divides the other operand exactly and 1 otherwise, and
+    :func:`_cofactors` returns it as GCDHEU does, with a positive leading
+    coefficient."""
     if len(a.terms) < 2 or len(b.terms) < 2 or max(a._deg, b._deg) >= _HALF:
         return None
     if max(len(a.terms), len(b.terms)) > _GCD_MAX_TERMS:
@@ -1041,7 +1090,9 @@ def _gcd(a: Poly, b: Poly, positive: bool):
     # (1 + the total degree) ** m bounds the degree box without a scan
     if (1 + max(a._deg, b._deg)) ** m > _GCD_MAX_BOX and _degree_box(at, bt, m) > _GCD_MAX_BOX:
         return None
-    found = _heuristic_gcd(at, bt, m)
+    # the gcd with an irreducible operand t is t or 1: one division decides
+    t = next((t for t in (at, bt) if _irreducible(t, m)), None)
+    found = _heuristic_gcd(at, bt, m) if t is None else _cofactors(at, bt, t, m)
     if found is None or list(found[0]) == [0]:
         return None
     if positive and min(*found[1].values(), *found[2].values()) < 0:

@@ -145,10 +145,11 @@ def _column_walk(roots: list, columns: Mapping, count: int):
     certificate ``node`` at each point; ``columns[name]`` holds that
     variable over the batch of ``count`` points.  Each non-leaf node under
     ``roots`` is computed once; one read by several parents (or roots) is
-    kept as a list."""
+    kept as a list.  A batch of one point keeps every column, one int per
+    node, and so skips the pre-pass that counts the readers."""
     uses = {}  # id of a non-leaf node -> how many parents and roots read it
     children = {}  # id of a non-leaf node -> _children(node)
-    stack = list(roots)
+    stack = list(roots) if count > 1 else []
     while stack:
         node = stack.pop()
         if isinstance(node, (CVar, CConst)):
@@ -171,7 +172,7 @@ def _column_walk(roots: list, columns: Mapping, count: int):
         out = kept.get(key)
         if out is not None:
             return iter(out)
-        parts = [column(a) for a in children[key]]
+        parts = [column(a) for a in (children[key] if children else _children(node))]
         if isinstance(node, CMul):
             out = functools.reduce(_ADD, parts) if parts else itertools.repeat(0, count)
         elif isinstance(node, CAdd):
@@ -182,7 +183,7 @@ def _column_walk(roots: list, columns: Mapping, count: int):
             out = map(operator.mul, parts[0], itertools.repeat(node.exponent))
         else:
             raise TypeError(f"unknown certificate node {node!r}")
-        if uses[key] > 1:
+        if count == 1 or uses[key] > 1:
             out = kept[key] = list(out)
             return iter(out)
         return out
@@ -324,20 +325,23 @@ def _degree_columns(parts: list, rows: list) -> list:
     """The degree column of each formula, given as (num, den), each (weighted
     terms, all coefficients positive), over rows of plain ints.  Each
     distinct monomial's column is computed once, and kept as a list when
-    more than one term reads it.  The first formula that collapses raises,
-    at its first faulty row, den first."""
+    more than one term reads it (every column, for one row, without
+    counting the readers).  The first formula that collapses raises, at its
+    first faulty row, den first."""
     if not rows:
         return [[] for _ in parts]
     count = len(rows)
     columns = list(zip(*rows))
-    uses = collections.Counter(exps for pair in parts for terms, _ in pair for exps, _ in terms)
+    uses = None
+    if count > 1:
+        uses = collections.Counter(exps for pair in parts for terms, _ in pair for exps, _ in terms)
     kept = {}
 
     def degree(exps):
         if exps in kept:
             return iter(kept[exps])
         out = _degree_column(exps, columns, count)
-        if uses[exps] > 1:
+        if count == 1 or uses[exps] > 1:
             out = kept[exps] = list(out)
             return iter(out)
         return out

@@ -5,7 +5,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from geomcrystal.ratfun import (
@@ -23,6 +23,8 @@ from geomcrystal.ratfun import (
     _encode,
     _exact_quotient,
     _gcd,
+    _heuristic_gcd,
+    _irreducible,
     _remap_terms,
     const,
     parse,
@@ -825,7 +827,10 @@ class TestReduced:
         import geomcrystal.ratfun as ratfun
 
         monkeypatch.setattr(ratfun, "_heuristic_gcd", lambda a, b, m: None)
-        f = (x**2 - y**2) / (x + y)
+        # no variable of degree one, so no operand is certified irreducible
+        # and the gcd is left to the heuristic
+        f = (x**4 - y**4) / (x**2 - y**2)
+        assert len(f.den.terms) == 2
         assert f.reduced() is f
 
     def test_certificate_needs_positive_cofactors(self):
@@ -917,6 +922,101 @@ class TestReduced:
         assert f.positive_cert
         assert (len(f.num.terms), len(f.den.terms)) == (4, 4)
         assert f == RatFun((x**3 + 1).num * (y + 2).num, (y + 1).num * (x + 1).num)
+
+
+IRR_NAMES = ("a", "b", "c", "s")
+_NONZERO = st.sampled_from([-3, -2, -1, 1, 2, 3])
+_EXPS = st.tuples(*[st.integers(0, 2)] * len(IRR_NAMES))
+
+
+def _terms(poly: Poly) -> tuple:
+    return poly.terms, len(poly.vars)
+
+
+def _irr_poly(terms: dict) -> Poly:
+    return Poly(IRR_NAMES, terms)
+
+
+def _polys(least: int, free: int = -1):
+    """Terms of polynomials over IRR_NAMES, ``least`` to 3 of them with
+    exponents 0-2, free of the variable at slot ``free``."""
+    return st.dictionaries(_EXPS, _NONZERO, min_size=least, max_size=3).map(
+        lambda d: {_encode(0 if i == free else e for i, e in enumerate(exps)): c for exps, c in d.items()}
+    )
+
+
+@st.composite
+def _linear_in_one_variable(draw) -> Poly:
+    """t1*x + t0 with t1 a single term: often, not always, certified."""
+    x_slot = draw(st.integers(0, len(IRR_NAMES) - 1))
+    lead = [1 if i == x_slot else draw(st.integers(0, 1)) for i in range(len(IRR_NAMES))]
+    terms = draw(_polys(1, x_slot))
+    terms[_encode(lead)] = draw(st.sampled_from([-3, -1, 1, 2]))
+    return _irr_poly(terms)
+
+
+def _heuristic_reference(a: Poly, b: Poly, positive: bool):
+    """What ``_gcd`` returns when it asks GCDHEU, for operands of 2 to
+    ``_GCD_MAX_TERMS`` terms with small exponents and degree boxes."""
+    vars, at, bt = a._aligned(b)
+    found = _heuristic_gcd(at, bt, len(vars))
+    if found is None or list(found[0]) == [0]:
+        return None
+    if positive and min(*found[1].values(), *found[2].values()) < 0:
+        return None
+    return tuple(Poly._trusted(vars, t) for t in found)
+
+
+class TestIrreducibleOperand:
+    """The gcd with a certified irreducible operand t is decided by one
+    exact division: t when t divides the other operand, else 1."""
+
+    @pytest.mark.parametrize("text", ["x + y", "x*y + z", "a*s + b*s + 1", "x*y + 1", "3*x + 2"])
+    def test_accepts(self, text):
+        assert _irreducible(*_terms(parse(text).num))
+
+    @pytest.mark.parametrize("text", [
+        "x*y + y",  # y*(x + 1)
+        "x*y + x*z",  # x*(y + z)
+        "2*x + 2",  # content 2
+        "x^2 + 2*x*y + y^2",  # no variable of degree one; (x + y)^2
+        "x^2 + y^2",  # no variable of degree one, though irreducible
+        "x*y + x*z + y + z + 1",  # irreducible, but no part is a single term
+    ])
+    def test_rejects(self, text):
+        assert not _irreducible(*_terms(parse(text).num))
+
+    @PROPERTY
+    @given(_linear_in_one_variable(), _polys(1).map(_irr_poly), _polys(2).map(_irr_poly))
+    def test_matches_the_heuristic(self, t, p, q):
+        assume(_irreducible(*_terms(t)))
+        two = Poly.const(2)  # 2*t has content 2, so it is no certified operand
+        for a, b in ((t * p, t * q), (t * p, q), (t, t * p), (t * two, t * p)):
+            for positive in (False, True):
+                for pair in ((a, b), (b, a)):
+                    got, want = (
+                        None if found is None else [(g.vars, g.terms) for g in found]
+                        for found in (_gcd(*pair, positive), _heuristic_reference(*pair, positive))
+                    )
+                    assert got == want, (pair, positive)
+
+    def test_heuristic_is_not_asked(self, monkeypatch):
+        import geomcrystal.ratfun as ratfun
+
+        def refuse(a, b, m):
+            raise AssertionError("GCDHEU ran")
+
+        monkeypatch.setattr(ratfun, "_heuristic_gcd", refuse)
+        a, b, s = (var(name).num for name in ("a", "b", "s"))
+        one = Poly.const(1)
+        for text, other in (("a*s + b*s + 1", a - b), ("x*y - z", (x + y * z).num), ("-x - y + 1", (x * y + 2).num)):
+            t = parse(text).num
+            g, qa, qb = _gcd(t * other, t, False)
+            assert g * qa == t * other and g * qb == t
+            assert g.leading_coefficient() > 0 and qb == (one if g == t else -one)
+            assert _gcd(other + one, t, False) is None  # coprime: one division says so
+        # positive: the cofactor a - b has a negative coefficient
+        assert _gcd(a * s + b * s + one, (a - b) * (a * s + b * s + one), True) is None
 
 
 class TestRandintRounds:
