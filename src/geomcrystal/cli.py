@@ -240,8 +240,8 @@ def main(argv=None) -> int:
     except (OSError, ValueError, TypeError, LookupError, ArithmeticError, RecursionError) as exc:
         # the one place that reports bad input: unreadable files, malformed
         # or inexact values, indices out of range, partial maps undefined at
-        # the given point, and input nested deeper than the recursive parser
-        # or certificate walk can follow (no file has been written by then)
+        # the given point, and input nested deeper than the recursive-descent
+        # parser can follow (no file has been written by then)
         _print(f"error: {exc}")
         return 2
 

@@ -255,22 +255,32 @@ def _joint_cert(make, a, b):
     return None if a.cert is None or b.cert is None else make(a.cert, b.cert)
 
 
-def cert_variables(node) -> set:
-    """Collect the variable names referenced by a certificate tree."""
-    out: set = set()
-    stack = [node]
+def cert_nodes(roots) -> list:
+    """Each distinct node (by identity) of the certificates ``roots``, once,
+    after all its sub-certificates: a post-order walk of the certificate
+    DAG from an explicit stack, so neither sharing nor depth costs more
+    than the nodes themselves."""
+    out, seen = [], set()
+    stack = [(root, False) for root in reversed(roots)]
     while stack:
-        c = stack.pop()
-        if isinstance(c, CVar):
-            out.add(c.name)
-        elif isinstance(c, (CAdd, CMul)):
-            stack.extend(c.args)
-        elif isinstance(c, CDiv):
-            stack.append(c.num)
-            stack.append(c.den)
-        elif isinstance(c, CPow):
-            stack.append(c.base)
+        node, done = stack.pop()
+        if done:
+            out.append(node)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack.append((node, True))
+            if isinstance(node, (CAdd, CMul)):
+                stack.extend((a, False) for a in reversed(node.args))
+            elif isinstance(node, CDiv):
+                stack.extend(((node.den, False), (node.num, False)))
+            elif isinstance(node, CPow):
+                stack.append((node.base, False))
     return out
+
+
+def cert_variables(node) -> set:
+    """The variable names referenced by a certificate."""
+    return {c.name for c in cert_nodes([node]) if isinstance(c, CVar)}
 
 
 # ---------------------------------------------------------------------------
@@ -1102,11 +1112,15 @@ def _gcd(a: Poly, b: Poly, positive: bool):
 
 def _degree_box(a: dict, b: dict, m: int) -> int:
     """The product over the m variables of one plus the largest exponent
-    of the variable in a or b."""
+    of the variable in a or b, or the first partial product above
+    ``_GCD_MAX_BOX``: no factor is below 1, so either is above that bound
+    exactly when the whole product is."""
     keys = [*a, *b]
     box = 1
     for shift in range(0, _WIDTH * m, _WIDTH):
         box *= 1 + max(key >> shift & _MASK for key in keys)
+        if box > _GCD_MAX_BOX:
+            break
     return box
 
 

@@ -2,20 +2,22 @@
 
 A certified rational function is read over the max-plus semiring:
 multiplication becomes addition, division subtraction, addition becomes
-max, a power a multiple, and positive constants become 0.  The reading
-walks the value's construction-history certificate itself, the one tree
-kept for the formula, so its size stays linear in the formula.  The
-independent degree oracle proves pointwise correctness: it reads only the
-expanded num and den, never the certificate, and takes the top degree of
-their Laurent collapse under the monomial co-character.  Both evaluate
-many formulas over one batch of points at once, in columns over the
-batch: :func:`eval_columns` walks all the certificates together and
-computes each distinct node (by identity) once, since formulas built from
-the same chart share their subexpressions; :func:`degree_columns`
-computes each distinct monomial of all the expanded nums and dens once.
-:meth:`TropExpr.eval_many` and :func:`degree_oracle_many` are their
-one-formula calls, and :meth:`TropExpr.eval` and :func:`degree_oracle`
-their one-point calls.
+max, a power a multiple, and positive constants become 0.  The reading is
+the value's construction-history certificate itself, the one DAG kept for
+the formula: the certificate DAG, walked once without recursion
+(:func:`ratfun.cert_nodes`), gives each distinct node once, after its
+children, so the reading stays linear in the formula however deep or
+shared it is.  The independent degree oracle proves pointwise
+correctness: it reads only the expanded num and den, never the
+certificate, and takes the top degree of their Laurent collapse under the
+monomial co-character.  Both evaluate many formulas over one batch of
+points at once, in columns over the batch: :func:`eval_columns` reads the
+steps of all the formulas together and computes each distinct node (by
+identity) once, since formulas built from the same chart share their
+subexpressions; :func:`degree_columns` computes each distinct monomial of
+all the expanded nums and dens once.  :meth:`TropExpr.eval_many` and
+:func:`degree_oracle_many` are their one-formula calls, and
+:meth:`TropExpr.eval` and :func:`degree_oracle` their one-point calls.
 
 The semiring is (Z, max, +) without minus infinity: a certified value
 is a nonzero subtraction-free expression, so every max has at least one
@@ -41,6 +43,7 @@ from .ratfun import (
     RatFun,
     as_int,
     as_rank,
+    cert_nodes,
     cert_variables,
 )
 
@@ -51,13 +54,19 @@ class NotPositive(ValueError):
 
 class TropExpr:
     """A certificate read in the max-plus semiring, over a fixed ordered
-    variable tuple."""
+    variable tuple, as steps built once: each distinct node with the
+    children it reads (:func:`_children`), after them, and the root last."""
 
-    __slots__ = ("vars", "cert")
+    __slots__ = ("vars", "_steps")
 
     def __init__(self, vars: tuple, cert):
         self.vars = tuple(vars)
-        self.cert = cert
+        self._steps = tuple([(node, _children(node)) for node in cert_nodes([cert])])
+
+    @property
+    def cert(self):
+        """The certificate read, the last step's node."""
+        return self._steps[-1][0]
 
     def eval(self, point):
         """Evaluate at an integer vector (aligned with :attr:`vars`) or a
@@ -71,13 +80,48 @@ class TropExpr:
         return eval_columns([self], self.vars, points)[0]
 
     def __str__(self) -> str:
-        return _prefix(self.cert)
+        text = {}
+        for node, kids in self._steps:
+            parts = [text[id(a)] for a in kids]
+            if isinstance(node, CVar):
+                out = node.name
+            elif isinstance(node, CAdd):
+                out = "(max " + " ".join(parts) + ")"
+            elif isinstance(node, CMul) and len(parts) > 1:
+                out = "(+ " + " ".join(parts) + ")"
+            elif isinstance(node, CDiv) and len(parts) > 1:
+                out = f"(- {parts[0]} {parts[1]})"
+            elif isinstance(node, CPow):
+                out = f"(* {node.exponent} {parts[0]})"
+            else:  # a constant, or a product or quotient that reads one part
+                out = parts[0] if parts else "0"
+            text[id(node)] = out
+        return out
 
     def __repr__(self) -> str:
         return f"TropExpr({self})"
 
 
+def _children(node) -> tuple:
+    """The sub-certificates that the max-plus reading of ``node`` reads: a
+    product drops its constants, and a quotient by a constant is its
+    numerator."""
+    if isinstance(node, CMul):
+        return tuple([a for a in node.args if not isinstance(a, CConst)])
+    if isinstance(node, CAdd):
+        return node.args
+    if isinstance(node, CDiv):
+        return (node.num,) if isinstance(node.den, CConst) else (node.num, node.den)
+    if isinstance(node, CPow):
+        return (node.base,)
+    if isinstance(node, (CVar, CConst)):
+        return ()
+    raise TypeError(f"unknown certificate node {node!r}")
+
+
 _ADD = functools.partial(map, operator.add)
+# reading a column recurses in C once per nested map: deeper ones are lists
+_STREAM_HEIGHT = 1000
 _INT = frozenset((int,))
 _ROW = frozenset((tuple, list))
 
@@ -120,10 +164,13 @@ def eval_columns(exprs, vars: tuple, points) -> list:
     expression's variables must be among ``vars``.  Returns one list of
     ints per expression, in point order.
 
-    The batch is coerced once, then all certificates are walked together,
-    once: each distinct node (by identity) becomes one column over all
-    points.  A column that more than one parent reads is kept as a list;
-    every other column is streamed through ``map`` and never stored."""
+    The batch is coerced once, then the steps of all the expressions are
+    read together, once: each distinct node (by identity) becomes one
+    column over all points.  A column that more than one reader (a parent
+    or a root) takes is kept as a list; every other column is streamed
+    through ``map`` and never stored.  A batch of one point keeps every
+    column, one int each, without counting the readers, and so does a
+    column that would nest more than ``_STREAM_HEIGHT`` maps."""
     vars = tuple(vars)
     exprs = list(exprs)
     missing = {name for e in exprs for name in e.vars} - set(vars)
@@ -135,104 +182,40 @@ def eval_columns(exprs, vars: tuple, points) -> list:
         rows = [_coerce_point(point, vars) for point in points]
     if not rows:
         return [[] for _ in exprs]
-    roots = [e.cert for e in exprs]
-    column = _column_walk(roots, dict(zip(vars, zip(*rows))), len(rows))
-    return [list(column(root)) for root in roots]
-
-
-def _column_walk(roots: list, columns: Mapping, count: int):
-    """``column(node)``: an iterator over the max-plus value of the
-    certificate ``node`` at each point; ``columns[name]`` holds that
-    variable over the batch of ``count`` points.  Each non-leaf node under
-    ``roots`` is computed once; one read by several parents (or roots) is
-    kept as a list.  A batch of one point keeps every column, one int per
-    node, and so skips the pre-pass that counts the readers."""
-    uses = {}  # id of a non-leaf node -> how many parents and roots read it
-    children = {}  # id of a non-leaf node -> _children(node)
-    stack = list(roots) if count > 1 else []
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (CVar, CConst)):
-            continue
-        key = id(node)
-        if key in uses:
-            uses[key] += 1
-        else:
-            uses[key] = 1
-            children[key] = kids = _children(node)
-            stack.extend(kids)
-    kept = {}
-
-    def column(node):
+    count = len(rows)
+    columns = dict(zip(vars, zip(*rows)))
+    steps = exprs[0]._steps
+    if len(exprs) > 1:  # each distinct node once, still after its children
+        steps = {id(step[0]): step for e in exprs for step in e._steps}.values()
+    uses = None  # id of a node -> how many parents and roots read it
+    if count > 1:
+        uses = collections.Counter(map(id, itertools.chain.from_iterable(kids for _, kids in steps)))
+        uses.update(id(e.cert) for e in exprs)
+    zeros = (0,) * count
+    value, streamed = {}, {}
+    for node, kids in steps:
         if isinstance(node, CVar):
-            return iter(columns[node.name])
-        if isinstance(node, CConst):
-            return itertools.repeat(0, count)
-        key = id(node)
-        out = kept.get(key)
-        if out is not None:
-            return iter(out)
-        parts = [column(a) for a in (children[key] if children else _children(node))]
-        if isinstance(node, CMul):
-            out = functools.reduce(_ADD, parts) if parts else itertools.repeat(0, count)
-        elif isinstance(node, CAdd):
-            out = map(max, *parts)
-        elif isinstance(node, CDiv):
-            out = map(operator.sub, *parts) if len(parts) == 2 else parts[0]
-        elif isinstance(node, CPow):
-            out = map(operator.mul, parts[0], itertools.repeat(node.exponent))
+            out = columns[node.name]
+        elif isinstance(node, CConst):
+            out = zeros
         else:
-            raise TypeError(f"unknown certificate node {node!r}")
-        if count == 1 or uses[key] > 1:
-            out = kept[key] = list(out)
-            return iter(out)
-        return out
-
-    return column
-
-
-def _children(node) -> tuple:
-    """The sub-certificates that the max-plus reading of ``node`` reads: a
-    product drops its constants, and a quotient by a constant is its
-    numerator."""
-    if isinstance(node, CMul):
-        return _factors(node)
-    if isinstance(node, CAdd):
-        return node.args
-    if isinstance(node, CDiv):
-        return (node.num,) if isinstance(node.den, CConst) else (node.num, node.den)
-    if isinstance(node, CPow):
-        return (node.base,)
-    return ()
-
-
-def _prefix(node) -> str:
-    """Prefix text of the max-plus reading of ``node``, by the rules of
-    :func:`_column_walk`: a product drops its constants, and a quotient by a
-    constant is its numerator."""
-    if isinstance(node, CVar):
-        return node.name
-    if isinstance(node, CConst):
-        return "0"
-    if isinstance(node, CAdd):
-        return "(max " + " ".join(map(_prefix, node.args)) + ")"
-    if isinstance(node, CMul):
-        factors = _factors(node)
-        if len(factors) < 2:
-            return _prefix(factors[0]) if factors else "0"
-        return "(+ " + " ".join(map(_prefix, factors)) + ")"
-    if isinstance(node, CDiv):
-        if isinstance(node.den, CConst):
-            return _prefix(node.num)
-        return f"(- {_prefix(node.num)} {_prefix(node.den)})"
-    if isinstance(node, CPow):
-        return f"(* {node.exponent} {_prefix(node.base)})"
-    raise TypeError(f"unknown certificate node {node!r}")
-
-
-def _factors(node: CMul) -> tuple:
-    """The arguments of a product that are not constants (0 in max-plus)."""
-    return tuple([a for a in node.args if not isinstance(a, CConst)])
+            parts = [value[id(a)] for a in kids]
+            if isinstance(node, CMul):
+                out = functools.reduce(_ADD, parts) if parts else zeros
+            elif isinstance(node, CAdd):
+                out = map(max, *parts)
+            elif isinstance(node, CDiv):
+                out = map(operator.sub, *parts) if len(parts) == 2 else parts[0]
+            else:
+                out = map(operator.mul, parts[0], itertools.repeat(node.exponent))
+            if uses is not None and uses[id(node)] == 1:
+                height = 1 + max([streamed.get(id(a), 0) for a in kids], default=0)
+                if height <= _STREAM_HEIGHT:
+                    streamed[id(node)] = height  # maps nested in this column
+            if id(node) not in streamed:
+                out = list(out)
+        value[id(node)] = out
+    return [list(value[id(e.cert)]) for e in exprs]
 
 
 def tropicalize(f: RatFun, vars: tuple | None = None) -> TropExpr:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from geomcrystal import gyt, ud, verify
+from geomcrystal import gyt, ratfun, ud, verify
 from geomcrystal.charts import (
     TorusPointA,
     TorusPointB,
@@ -90,6 +90,46 @@ class TestNodes:
             e.eval({"x": 2.7, "y": 1})
         with pytest.raises(TypeError):
             e.eval((1, 2.0))
+
+
+class TestCertificateWalk:
+    """The max-plus reading visits each distinct node once, without recursion."""
+
+    def test_deep_quotient_chain(self):
+        f = x + y
+        for _ in range(3000):
+            f = f / x
+        e = tropicalize(f)
+        assert e.eval({"x": 2, "y": 5}) == degree_oracle(f, {"x": 2, "y": 5}) == -5995
+        assert e.eval_many([(2, 5), (0, 3)]) == [-5995, 3]
+        assert str(e) == "(- " * 3000 + "(max x y)" + " x)" * 3000
+
+    def test_shared_dag_grows_linearly(self):
+        """Each round reads g twice, so a tree walk would double per round;
+        the walk adds the round's five new nodes."""
+        g = x
+        for k in range(1, 61):
+            g = (g * x + g * y) / (x + y)
+            assert len(ratfun.cert_nodes([g.cert])) == 5 * k + 2
+        e = tropicalize(g)
+        assert e.vars == ("x", "y")
+        for point in ({"x": 3, "y": -4}, {"x": -2, "y": 7}):
+            assert e.eval(point) == degree_oracle(g, point)
+
+    def test_deep_certificate_over_a_batch(self):
+        """100,000 nested quotients, each column read once, stream through
+        at most ``ud._STREAM_HEIGHT`` nested maps at a time."""
+        leaf = CVar("x")
+        node = CAdd((leaf, CVar("y")))
+        for _ in range(100_000):
+            node = CDiv(node, leaf)
+        assert TropExpr(("x", "y"), node).eval_many([(1, 2), (0, 3)]) == [-99_998, 3]
+
+    def test_cert_is_read_only(self):
+        e = tropicalize(x + y)
+        with pytest.raises(AttributeError):
+            e.cert = CVar("x")
+        assert str(e) == "(max x y)"
 
 
 class TestDegreeOracle:
@@ -832,7 +872,7 @@ class TestUdMainLattice:
             e = real(f, vars)
             name = names[(str(f), tuple(vars))]
             if name in faults:
-                e.cert = faults[name](e)
+                e = TropExpr(e.vars, faults[name](e))
             exprs[name] = e
             return e
 
