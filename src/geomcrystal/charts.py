@@ -18,7 +18,7 @@ import operator
 from functools import reduce
 from typing import Mapping, Sequence
 
-from .ratfun import RatFun, as_rank, as_ratfun, check_direction, parse, state_fields, var
+from .ratfun import RatFun, as_int, as_rank, as_ratfun, check_direction, parse, state_fields, var
 from .slgroup import MatRF, TorusElem, coroot, factored_unipotent, symbolic_lower_coords
 
 
@@ -198,10 +198,10 @@ def ratio_act_coefficients(i: int, coords: Mapping, alpha) -> list:
 def ratio_act_coefficient(i: int, k: int, coords: Mapping, alpha) -> RatFun:
     """The k-th mixing ratio of the ratio-chart action in direction i;
     the rank is the largest column of ``coords``."""
-    coeffs = ratio_act_coefficients(i, coords, alpha)
-    if not 1 <= k <= i:
+    check_direction(i, max(j for _, j in coords))
+    if not 1 <= as_int(k) <= i:
         raise IndexError(f"mixing ratio index {k} out of range 1..{i}")
-    return coeffs[k - 1]
+    return ratio_act_coefficients(i, coords, alpha)[k - 1]
 
 
 class TorusPointB(_ChartPoint):

@@ -135,8 +135,8 @@ def as_rank(n) -> int:
 
 
 def check_direction(i: int, n: int) -> int:
-    """``i`` itself when it is a direction 1..n of the rank-n crystal."""
-    if not 1 <= i <= n:
+    """``i`` itself when it is a direction 1..n (:func:`as_int`) of the rank-n crystal."""
+    if not 1 <= as_int(i) <= n:
         raise IndexError(f"direction {i} out of range 1..{n}")
     return i
 

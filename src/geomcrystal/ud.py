@@ -11,12 +11,12 @@ shared it is.  The independent degree oracle proves pointwise
 correctness: it reads only the expanded num and den, never the
 certificate, and takes the top degree of their Laurent collapse under the
 monomial co-character.  Both evaluate many formulas over one batch of
-points at once, in columns over the batch: :func:`eval_columns` reads the
-steps of all the formulas together and computes each distinct node (by
-identity) once, since formulas built from the same chart share their
-subexpressions; :func:`degree_columns` computes each distinct monomial of
-all the expanded nums and dens once.  :meth:`TropExpr.eval_many` and
-:func:`degree_oracle_many` are their one-formula calls, and
+points at once, one list per column over the batch: :func:`eval_columns`
+reads the steps of all the formulas together and computes each distinct
+node (by identity) once, since formulas built from the same chart share
+their subexpressions; :func:`degree_columns` computes each distinct
+monomial of all the expanded nums and dens once.  :meth:`TropExpr.eval_many`
+and :func:`degree_oracle_many` are their one-formula calls, and
 :meth:`TropExpr.eval` and :func:`degree_oracle` their one-point calls.
 
 The semiring is (Z, max, +) without minus infinity: a certified value
@@ -26,7 +26,6 @@ argument and every expression evaluates to an integer.
 
 from __future__ import annotations
 
-import collections
 import functools
 import itertools
 import operator
@@ -80,6 +79,8 @@ class TropExpr:
         return eval_columns([self], self.vars, points)[0]
 
     def __str__(self) -> str:
+        """The prefix text, e.g. ``(- (max x y) z)``; a shared node is spelled
+        out at each reader, so the text grows exponentially with the sharing depth."""
         text = {}
         for node, kids in self._steps:
             parts = [text[id(a)] for a in kids]
@@ -119,24 +120,28 @@ def _children(node) -> tuple:
     raise TypeError(f"unknown certificate node {node!r}")
 
 
-_ADD = functools.partial(map, operator.add)
-# reading a column recurses in C once per nested map: deeper ones are lists
-_STREAM_HEIGHT = 1000
 _INT = frozenset((int,))
 _ROW = frozenset((tuple, list))
 
 
-def _int_rows(points: list, vars: tuple):
-    """The batch itself when every point is a tuple or list of plain ints
-    aligned with ``vars`` (one type scan over every value), else None: then
-    each point goes through :func:`_coerce_point`."""
+def _rows(points: list, vars: tuple):
+    """(rows, error): the batch as rows of ints aligned with ``vars`` up to
+    its first point that is no integer vector, and that point's coercion
+    error or None.  A batch of tuples or lists of plain ints of the right
+    length is its own rows (one type scan over every value)."""
     if (
         _ROW.issuperset(map(type, points))
         and _INT.issuperset(map(type, itertools.chain.from_iterable(points)))
         and set(map(len, points)) <= {len(vars)}
     ):
-        return points
-    return None
+        return points, None
+    rows = []
+    for point in points:
+        try:
+            rows.append(_coerce_point(point, vars))
+        except (TypeError, ValueError) as error:
+            return rows, error
+    return rows, None
 
 
 def _coerce_point(point, vars: tuple) -> list:
@@ -162,58 +167,45 @@ def eval_columns(exprs, vars: tuple, points) -> list:
     """Each expression of ``exprs`` at each point of one batch, each point
     an integer vector aligned with ``vars`` or a mapping {name: int}; every
     expression's variables must be among ``vars``.  Returns one list of
-    ints per expression, in point order.
+    ints per expression, in point order, each a new list.
 
     The batch is coerced once, then the steps of all the expressions are
-    read together, once: each distinct node (by identity) becomes one
-    column over all points.  A column that more than one reader (a parent
-    or a root) takes is kept as a list; every other column is streamed
-    through ``map`` and never stored.  A batch of one point keeps every
-    column, one int each, without counting the readers, and so does a
-    column that would nest more than ``_STREAM_HEIGHT`` maps."""
+    read together, once: each distinct node (by identity) becomes one column
+    over all points, kept to the end, a list built from its children's by
+    ``map`` one level deep (a product adds its parts two at a time), so no
+    certificate is too deep or too wide to read.  A product or quotient
+    that reads one part is that part's column."""
     vars = tuple(vars)
     exprs = list(exprs)
     missing = {name for e in exprs for name in e.vars} - set(vars)
     if missing:
         raise ValueError(f"variable order misses {sorted(missing)}")
-    points = list(points)
-    rows = _int_rows(points, vars)
-    if rows is None:
-        rows = [_coerce_point(point, vars) for point in points]
+    rows, error = _rows(list(points), vars)
+    if error is not None:
+        raise error
     if not rows:
         return [[] for _ in exprs]
-    count = len(rows)
     columns = dict(zip(vars, zip(*rows)))
-    steps = exprs[0]._steps
-    if len(exprs) > 1:  # each distinct node once, still after its children
-        steps = {id(step[0]): step for e in exprs for step in e._steps}.values()
-    uses = None  # id of a node -> how many parents and roots read it
-    if count > 1:
-        uses = collections.Counter(map(id, itertools.chain.from_iterable(kids for _, kids in steps)))
-        uses.update(id(e.cert) for e in exprs)
-    zeros = (0,) * count
-    value, streamed = {}, {}
+    zeros = (0,) * len(rows)
+    steps = exprs[0]._steps if len(exprs) == 1 else {id(s[0]): s for e in exprs for s in e._steps}.values()
+    value = {}
     for node, kids in steps:
         if isinstance(node, CVar):
             out = columns[node.name]
-        elif isinstance(node, CConst):
+        elif not kids:  # a constant, or a product of constants alone
             out = zeros
         else:
             parts = [value[id(a)] for a in kids]
-            if isinstance(node, CMul):
-                out = functools.reduce(_ADD, parts) if parts else zeros
+            if isinstance(node, CMul) and len(parts) > 1:
+                out = functools.reduce(lambda a, b: list(map(operator.add, a, b)), parts)
             elif isinstance(node, CAdd):
-                out = map(max, *parts)
-            elif isinstance(node, CDiv):
-                out = map(operator.sub, *parts) if len(parts) == 2 else parts[0]
-            else:
-                out = map(operator.mul, parts[0], itertools.repeat(node.exponent))
-            if uses is not None and uses[id(node)] == 1:
-                height = 1 + max([streamed.get(id(a), 0) for a in kids], default=0)
-                if height <= _STREAM_HEIGHT:
-                    streamed[id(node)] = height  # maps nested in this column
-            if id(node) not in streamed:
-                out = list(out)
+                out = list(map(max, *parts))
+            elif isinstance(node, CDiv) and len(parts) > 1:
+                out = list(map(operator.sub, *parts))
+            elif isinstance(node, CPow):
+                out = list(map(operator.mul, parts[0], itertools.repeat(node.exponent)))
+            else:  # a product or quotient that reads one part
+                out = parts[0]
         value[id(node)] = out
     return [list(value[id(e.cert)]) for e in exprs]
 
@@ -277,21 +269,12 @@ def degree_columns(formulas, vars: tuple, points) -> list:
         ((_weighted_terms(f.num, vars), f.num.all_positive()), (_weighted_terms(f.den, vars), f.den.all_positive()))
         for f in formulas
     ]
-    points = list(points)
-    rows = _int_rows(points, vars)
-    if rows is None:
-        rows, error = [], None
-        for point in points:
-            try:
-                rows.append(_coerce_point(point, vars))
-            except (TypeError, ValueError) as bad:
-                error = bad
-                break
-        if error is not None:
-            # every formula meets the bad point, so the first formula decides:
-            # its collapse at an earlier point, else the bad point's error
-            _degree_columns(parts[:1], rows)
-            raise error
+    rows, error = _rows(list(points), vars)
+    if error is not None:
+        # every formula meets the bad point, so the first formula decides:
+        # its collapse at an earlier point, else the bad point's error
+        _degree_columns(parts[:1], rows)
+        raise error
     return _degree_columns(parts, rows)
 
 
@@ -307,36 +290,23 @@ def _weighted_terms(poly, vars: tuple) -> list:
 def _degree_columns(parts: list, rows: list) -> list:
     """The degree column of each formula, given as (num, den), each (weighted
     terms, all coefficients positive), over rows of plain ints.  Each
-    distinct monomial's column is computed once, and kept as a list when
-    more than one term reads it (every column, for one row, without
-    counting the readers).  The first formula that collapses raises, at its
-    first faulty row, den first."""
+    distinct monomial of all the formulas becomes one list, computed once.
+    The first formula that collapses raises, at its first faulty row, den
+    first."""
     if not rows:
         return [[] for _ in parts]
     count = len(rows)
     columns = list(zip(*rows))
-    uses = None
-    if count > 1:
-        uses = collections.Counter(exps for pair in parts for terms, _ in pair for exps, _ in terms)
-    kept = {}
-
-    def degree(exps):
-        if exps in kept:
-            return iter(kept[exps])
-        out = _degree_column(exps, columns, count)
-        if count == 1 or uses[exps] > 1:
-            out = kept[exps] = list(out)
-            return iter(out)
-        return out
-
+    monomials = dict.fromkeys(exps for pair in parts for terms, _ in pair for exps, _ in terms)
+    degree = {exps: _degree_column(exps, columns, count) for exps in monomials}
     return [_degrees(num, den, degree, count) for num, den in parts]
 
 
-def _degrees(num: tuple, den: tuple, degree, count: int) -> list:
+def _degrees(num: tuple, den: tuple, degree: dict, count: int) -> list:
     """The degree at each of ``count`` points, with num and den each given
-    as (weighted terms, all coefficients positive) and ``degree(exps)`` the
-    column of one monomial; the first point where den or num collapses
-    raises, den first."""
+    as (weighted terms, all coefficients positive) and ``degree`` the column
+    of each monomial; the first point where den or num collapses raises,
+    den first."""
     low = _top_degrees(*den, degree, count)
     high = _top_degrees(*num, degree, count)
     if None in low or None in high:
@@ -348,28 +318,28 @@ def _degrees(num: tuple, den: tuple, degree, count: int) -> list:
     return list(map(operator.sub, high, low))
 
 
-def _top_degrees(terms: list, positive: bool, degree, count: int) -> list:
+def _top_degrees(terms: list, positive: bool, degree: dict, count: int) -> list:
     """At each point, the largest weighted degree whose collapsed
     coefficient is nonzero, or None when every degree cancels; with
     ``positive`` (no negative coefficient) nothing cancels."""
     if not terms:
         return [None] * count
-    degrees = [degree(exps) for exps, _ in terms]
+    degrees = [degree[exps] for exps, _ in terms]
     if positive:
-        return list(map(max, *degrees)) if len(degrees) > 1 else list(degrees[0])
+        return list(map(max, *degrees)) if len(degrees) > 1 else degrees[0]
     coeffs = [c for _, c in terms]
     return [_collapse(point, coeffs) for point in zip(*degrees)]
 
 
-def _degree_column(exps: tuple, columns: list, count: int):
-    """Iterator over the weighted degree of one term at each point."""
+def _degree_column(exps: tuple, columns: list, count: int) -> list:
+    """The weighted degree of one term at each point."""
     if not exps:
-        return itertools.repeat(0, count)
+        return [0] * count
     total = None
     for i, e in exps:
         part = columns[i] if e == 1 else map(operator.mul, columns[i], itertools.repeat(e))
-        total = iter(part) if total is None else map(operator.add, total, part)
-    return total
+        total = part if total is None else map(operator.add, total, part)
+    return list(total)
 
 
 def _collapse(degrees: tuple, coeffs: list):

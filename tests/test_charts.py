@@ -1,5 +1,6 @@
 import pytest
 
+from geomcrystal import gyt
 from geomcrystal.charts import (
     TorusPointA,
     TorusPointB,
@@ -17,6 +18,7 @@ from geomcrystal.slgroup import (
     phi,
     rank2_relation,
     torus_weight,
+    x_elem,
 )
 
 
@@ -40,6 +42,23 @@ def test_coefficients_direction_out_of_range(coefficients):
     for i in (0, 3):
         with pytest.raises(IndexError, match=f"direction {i} out of range 1..2"):
             coefficients(i, coords, crystal_parameter())
+
+
+@pytest.mark.parametrize("bad", [True, 1.0])
+@pytest.mark.parametrize(
+    "act",
+    [
+        lambda i: gyt.etilde(i, gyt.SharpElement.zero(2)),
+        lambda i: TorusPointB.symbolic(2).act(i, const(3)),
+        lambda i: x_elem(i, 1, 2),
+        lambda k: ratio_act_coefficient(2, k, TorusPointB.symbolic(2).coords, crystal_parameter()),
+    ],
+    ids=["etilde", "ratio-chart-act", "x_elem", "mixing-ratio-index"],
+)
+def test_direction_index_is_an_exact_integer(act, bad):
+    # a bool or a float would otherwise act, or index, as direction 1
+    with pytest.raises(TypeError, match="integer"):
+        act(bad)
 
 
 class TestFactorChart:

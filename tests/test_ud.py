@@ -117,13 +117,19 @@ class TestCertificateWalk:
             assert e.eval(point) == degree_oracle(g, point)
 
     def test_deep_certificate_over_a_batch(self):
-        """100,000 nested quotients, each column read once, stream through
-        at most ``ud._STREAM_HEIGHT`` nested maps at a time."""
+        """100,000 nested quotients, each column read once, evaluate over a
+        batch without recursing once per level."""
         leaf = CVar("x")
         node = CAdd((leaf, CVar("y")))
         for _ in range(100_000):
             node = CDiv(node, leaf)
         assert TropExpr(("x", "y"), node).eval_many([(1, 2), (0, 3)]) == [-99_998, 3]
+
+    def test_wide_product_over_a_batch(self):
+        """A product of 100,000 factors adds its columns without nesting one
+        iterator per factor."""
+        node = CMul(tuple(CVar("x" if k % 2 else "y") for k in range(100_000)))
+        assert TropExpr(("x", "y"), node).eval_many([(1, 2), (0, -3)]) == [150_000, -150_000]
 
     def test_cert_is_read_only(self):
         e = tropicalize(x + y)
@@ -536,6 +542,30 @@ class TestBatchColumns:
         with pytest.raises(ValueError, match="misses"):
             ud.eval_columns([wide], ("x", "y"), [(1, 2)])
         assert ud.eval_columns([wide, narrow], ("x", "y", "z"), []) == [[], []]
+        assert ud.eval_columns([], ("x", "y", "z"), pts) == []
+
+    def test_returned_columns_never_alias(self):
+        """Each returned column is a new list, also for a repeated
+        expression, a bare variable and a quotient by a constant, which
+        reads its numerator's column; the same holds for the oracle."""
+        pts = [(1, 2, 3), (-1, 5, 0)]
+        p = x * y
+        bare = tropicalize(x, ("x",))
+        cases = [
+            (ud.eval_columns, [tropicalize(p), tropicalize(p)]),
+            (ud.eval_columns, [bare, bare]),
+            (ud.eval_columns, [tropicalize(p / const(3)), tropicalize(p)]),
+            (ud.eval_columns, [tropicalize(x / const(3), ("x",)), bare]),
+            (ud.degree_columns, [p + z3, p + z3]),
+            (ud.degree_columns, [p, p]),
+        ]
+        for columns, formulas in cases:
+            first, second = columns(formulas, ("x", "y", "z"), pts)
+            expected = [list(first), list(second)]
+            first.append(99)
+            first[0] = 99
+            assert second == expected[1]
+            assert columns(formulas, ("x", "y", "z"), pts) == expected
 
 
 def _chart_formula_inventory(n):
